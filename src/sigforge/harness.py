@@ -22,18 +22,14 @@ import json
 import os
 from dataclasses import dataclass
 
-import numpy as np
-
 from .bounds import (
-    BoundOverflow,
     BoundTable,
     BoundValue,
     Underloaded,
     binary_tsc_bound,
-    fp_operation_bound,
     welch_bound,
 )
-from .linalg import cholesky, min_eigenpair, quantize_sign
+from .linalg import min_eigenpair, quantize_sign
 from .sigcore import (
     SetFormatError,
     Signature,
@@ -47,7 +43,7 @@ from .sigcore import (
 )
 from .sphere import (
     DEFAULT_ML_CAP,
-    extend_optimal,
+    analyse_step,
     local_descent_baseline,
     ml_exhaustive,
     sphere_search,
@@ -238,60 +234,33 @@ def extend_once(
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     cap = resolve_ml_cap(ml_cap)
     length = signature_set.length
-
-    matrix = correlation_matrix(signature_set)
-    pair = min_eigenpair(matrix)
-    quantized = quantize_sign(pair.vector)
-    quant_metric = quadratic_metric(matrix, quantized)
-    radius = float(quant_metric)
-
-    factor = cholesky(matrix)
-    diag = np.diag(factor.entries)
-    try:
-        fp_bound = fp_operation_bound(length, radius, 1.0 / float((diag * diag).min()))
-    except BoundOverflow:
-        fp_bound = None
-
-    sd_result = None
-    ml_result = None
-    if method == "sd":
-        best, detail = extend_optimal(signature_set)
-        metric = detail.best_metric
-        nodes = detail.nodes_visited
-        enumerated = detail.candidates_enumerated
-        sd_result = metric
-    elif method == "ml":
-        result = ml_exhaustive(matrix, cap)
-        best = result.best
-        metric = result.best_metric
-        nodes = result.nodes_visited
-        enumerated = result.candidates_enumerated
-        ml_result = metric
-    elif method == "quant":
-        best = quantized
-        metric = quant_metric
-        nodes = 1
-        enumerated = 1
-    else:
-        result = local_descent_baseline(matrix, quantized)
-        best = result.best
-        metric = result.best_metric
-        nodes = result.nodes_visited
-        enumerated = result.candidates_enumerated
-
+    step = analyse_step(signature_set)
+    matrix = step.matrix
     if audit is None:
         audit = length <= AUDIT_AUTO_MAX_L and length <= cap
+
+    sd_result = step.first_optimum() if method == "sd" or audit else None
+    ml_result = ml_exhaustive(matrix, cap) if method == "ml" or audit else None
+    if method == "quant":
+        best, metric, nodes, enumerated = step.quantized, step.quant_metric, 1, 1
+    else:
+        if method == "sd":
+            result = sd_result
+        elif method == "ml":
+            result = ml_result
+        else:
+            result = local_descent_baseline(matrix, step.quantized)
+        best, metric = result.best, result.best_metric
+        nodes, enumerated = result.nodes_visited, result.candidates_enumerated
+
     agreement: bool | None = None
     if audit:
-        if sd_result is None:
-            sd_result = sphere_search(matrix, radius).best_metric
-        if ml_result is None:
-            ml_result = ml_exhaustive(matrix, cap).best_metric
-        agreement = sd_result == ml_result
+        agreement = sd_result.best_metric == ml_result.best_metric
         if not agreement:
             raise InternalConsistencyError(
                 f"audit failed at K={signature_set.k}, L={length}: "
-                f"sphere metric {sd_result} != exhaustive metric {ml_result}"
+                f"sphere metric {sd_result.best_metric} != exhaustive metric "
+                f"{ml_result.best_metric}"
             )
 
     extended = extend_set(signature_set, best)
@@ -303,12 +272,12 @@ def extend_once(
         tsc_after=tsc(extended),
         method=method,
         metric=metric,
-        radius_c=radius,
-        lambda_min=pair.value,
+        radius_c=step.radius,
+        lambda_min=step.lambda_min,
         nodes_visited=nodes,
         candidates_enumerated=enumerated,
-        fp_bound=fp_bound,
-        jitter_applied=factor.jitter > 0.0,
+        fp_bound=step.fp_bound,
+        jitter_applied=step.jitter_applied,
         welch_after=welch_bound(signature_set.k + 1, length),
         binary_bound_after=_bound_after(signature_set.k + 1, length, table),
     )
@@ -357,10 +326,13 @@ def compare_methods(signature_set: SignatureSet, *, ml_cap: int | None = None) -
     matrix = correlation_matrix(signature_set)
     tsc_before = tsc(signature_set)
 
-    quantized = quantize_sign(min_eigenpair(matrix).vector)
+    pair = min_eigenpair(matrix)
+    quantized = quantize_sign(pair.vector)
     quant_metric = quadratic_metric(matrix, quantized)
     descent_metric = local_descent_baseline(matrix, quantized).best_metric
-    sd_metric = sphere_search(matrix, float(quant_metric)).best_metric
+    sd_metric = sphere_search(
+        matrix, float(quant_metric), first_optimum=True, lambda_min=pair.value
+    ).best_metric
     ml_metric = ml_exhaustive(matrix, cap).best_metric
     if sd_metric != ml_metric:
         raise InternalConsistencyError(

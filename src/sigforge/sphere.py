@@ -2,11 +2,16 @@
 
 The minimum of s^T R s is found by factoring R = U^T U, bounding each
 coordinate through the weighted-square form of ||U s||^2, and walking the
-resulting interval tree depth first with a fixed squared radius. The radius
-comes from the sign-quantized minimum eigenvector, which guarantees the true
-minimizer lies inside the sphere; every enumerated candidate is re-scored in
-exact integer arithmetic, so floating point can only ever admit extra
-candidates, never corrupt the argmin.
+resulting tree depth first. The radius comes from the sign-quantized minimum
+eigenvector, which guarantees the true minimizer lies inside the sphere;
+every leaf is re-scored in exact integer arithmetic, so floating point can
+only ever admit extra leaves, never corrupt the argmin.
+
+Two walks share one iterative tree traversal. The default walk enumerates
+the whole ball at a fixed radius. The first-optimum walk factors the
+index-reversed R so that leaves arrive in tie-break order, shrinks the
+radius strictly after each exact improvement, and stops at a certified
+eigenvalue floor; it is the one the extension pipeline runs.
 
 Also provides the exhaustive scan used as the optimality oracle and a plain
 single-bit-flip descent baseline for method comparisons.
@@ -16,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
@@ -33,15 +39,18 @@ __all__ = [
     "QDecomposition",
     "SearchState",
     "SearchResult",
+    "StepAnalysis",
     "ExtensionDetail",
     "EmptySphere",
     "CapExceeded",
     "radius_squared",
     "q_decomposition",
     "interval_bounds",
+    "certified_floor",
     "sphere_search",
     "ml_exhaustive",
     "local_descent_baseline",
+    "analyse_step",
     "extend_optimal",
     "RADIUS_EPS",
     "DEFAULT_ML_CAP",
@@ -118,9 +127,10 @@ class SearchResult:
     """Outcome of one search, with exact integer scoring.
 
     ``candidates`` holds the enumerated (signature, exact metric) pairs in
-    visit order when the search kind retains them (sphere does, the
-    exhaustive and descent oracles do not). ``trace`` holds SearchState
-    nodes when requested. ``radius_c`` is +inf for the unbounded oracles.
+    visit order when the search kind retains them (the fixed-radius sphere
+    walk does; the first-optimum walk, the exhaustive and descent oracles do
+    not). ``trace`` holds SearchState nodes when requested. ``radius_c`` is
+    +inf for the unbounded oracles.
     """
 
     best: Signature
@@ -189,87 +199,220 @@ def interval_bounds(budget: float, q_kk: float, delta: float) -> tuple[int, int]
     return (lb, ub)
 
 
+def _positive_definite(a: list) -> bool:
+    """Sylvester's criterion in exact integers, by fraction-free (Bareiss)
+    elimination on the upper triangle of a symmetric matrix (modified in
+    place).
+
+    Before step k the pivot a[k][k] is the leading principal minor of order
+    k + 1, so the matrix is positive definite iff every pivot is > 0. A row
+    whose update is the identity (zero multiplier, pivot equal to the
+    previous one) is skipped, so a diagonal matrix costs O(n^2).
+    """
+    n = len(a)
+    previous = 1
+    for k in range(n):
+        row_k = a[k]
+        pivot = row_k[k]
+        if pivot <= 0:
+            return False
+        for i in range(k + 1, n):
+            factor = row_k[i]
+            if factor == 0 and pivot == previous:
+                continue
+            row_i = a[i]
+            for j in range(i, n):
+                row_i[j] = (pivot * row_i[j] - factor * row_k[j]) // previous
+        previous = pivot
+    return True
+
+
+def certified_floor(matrix: CorrelationMatrix, lambda_min: float) -> int | None:
+    """Exact lower bound b = ceil(lambda_min * L) on s^T R s over the cube,
+    or None when it cannot be proven.
+
+    Every antipodal s has ||s||^2 = L, so s^T R s >= lambda_true * L. The
+    float eigenvalue only proposes b; b holds when L*R - (b-1)*I is positive
+    definite in exact integer arithmetic. Then L * s^T R s > (b-1) * L for
+    every s, and metrics are integers, so s^T R s >= b. (L*R - b*I being
+    semidefinite implies that condition.) A float eigenvalue a few ulps above
+    an integer lambda_true * L makes the ceiling one too high, so b - 1 is
+    tried when b fails.
+    """
+    if not math.isfinite(lambda_min):
+        return None
+    dim = matrix.dim
+    scaled = matrix.entries * dim
+    proposal = math.ceil(lambda_min * dim)
+    for floor in (proposal, proposal - 1):
+        shifted = scaled.tolist()
+        for i in range(dim):
+            shifted[i][i] -= floor - 1
+        if _positive_definite(shifted):
+            return floor
+    return None
+
+
+def _walk(qdec: QDecomposition, cap: float, pin_root: bool, on_leaf, trace=None) -> int:
+    """Iterative depth-first walk of {x : ||U x||^2 <= cap} over the cube,
+    in factor order: x_L first, x_1 at the leaves, +1 before -1.
+
+    The pinned coordinate takes +1 only: x_L when ``pin_root``, else x_1.
+    ``on_leaf(values, cap)`` receives each admitted leaf as a list
+    (x_L, ..., x_1) and returns the cap for the rest of the walk, or None to
+    stop. ``trace``, when a list, receives one SearchState per admitted
+    node. Returns the number of admitted nodes.
+    """
+    n = qdec.dim
+    q_diag = qdec.q_diag.tolist()
+    # rows[i] holds q_ij for j = L-1 down to i+1, aligned with ``path``.
+    rows = [qdec.q_upper[i, i + 1 :][::-1].tolist() for i in range(n)]
+    pinned = n - 1 if pin_root else 0
+    path: list[int] = []
+    used = [0.0] * n
+    delta = [0.0] * n
+    todo = [0] * n  # next value to try per level; 0 once both are done
+    level = n - 1
+    todo[level] = 1
+    nodes = 0
+    while True:
+        value = todo[level]
+        if value == 0:
+            level += 1
+            if level == n:
+                return nodes
+            path.pop()
+            continue
+        todo[level] = -1 if value == 1 and level != pinned else 0
+        offset = delta[level] + value
+        spent = used[level] + q_diag[level] * offset * offset
+        if spent > cap:
+            continue
+        nodes += 1
+        if trace is not None:
+            trace.append(
+                SearchState(
+                    level=level + 1,
+                    delta=delta[level],
+                    budget=cap - used[level],
+                    partial=(value, *reversed(path)),
+                )
+            )
+        if level == 0:
+            cap = on_leaf(path + [value], cap)
+            if cap is None:
+                return nodes
+            continue
+        path.append(value)
+        level -= 1
+        used[level] = spent
+        delta[level] = sum(map(mul, rows[level], path))
+        todo[level] = 1
+
+
 def sphere_search(
     matrix: CorrelationMatrix,
     radius: float,
     *,
     tighten: bool = False,
     collect_trace: bool = False,
+    first_optimum: bool = False,
+    lambda_min: float | None = None,
 ) -> SearchResult:
-    """Depth-first enumeration of {s : s_L = +1, s^T R s <= radius}.
+    """Depth-first search of {s : s_L = +1, s^T R s <= radius}.
 
     The last coordinate is pinned to +1 (negating s preserves the metric, so
-    nothing is lost). Coordinates are fixed from level L down to 1, +1 tried
-    before -1, with the budget and offset updated recursively; the radius is
-    fixed for the whole walk. Enumerated candidates are re-scored exactly
-    and the minimum-metric one is returned, ties broken lexicographically
-    with +1 < -1.
+    nothing is lost). Leaves are re-scored exactly and the minimum-metric one
+    is returned, ties broken lexicographically with +1 < -1.
 
-    ``tighten`` shrinks the working budget to the best exact metric found so
-    far (equal-metric candidates are still admitted, so the returned optimum
-    and tie-break never change, only the node counts). ``collect_trace``
-    records a SearchState per expanded node.
+    Default (fixed-radius) walk: coordinates are fixed from s_L down to s_1,
+    +1 before -1, the radius fixed for the whole walk, and every candidate in
+    the ball is enumerated. ``tighten`` shrinks the working budget to the
+    best exact metric found so far (equal-metric candidates are still
+    admitted, so the returned optimum and tie-break never change, only the
+    node counts). ``collect_trace`` records a SearchState per expanded node.
+
+    ``first_optimum`` walk: R is factored with its indices reversed, so s_1
+    is fixed first and s_L last, and leaves arrive in tie-break order. After
+    each exact improvement m the radius shrinks to m - 1; metrics are
+    integers, so the first leaf reaching the final metric is the
+    lexicographically first optimum. With ``lambda_min`` the walk also stops
+    at the first leaf meeting ``certified_floor(matrix, lambda_min)``. It
+    keeps no candidates and takes no trace; ``candidates_enumerated`` counts
+    the leaves reached, ``ties`` is 1.
 
     Raises EmptySphere when no candidate lies inside; with the quantized
     eigenvector radius that cannot happen.
     """
     if not (radius >= 0.0):
         raise ValueError("radius must be >= 0")
-    factor = cholesky(matrix)
+    if first_optimum and (tighten or collect_trace):
+        raise ValueError("the first-optimum walk always tightens and takes no trace")
+    if not first_optimum and lambda_min is not None:
+        raise ValueError("lambda_min is used by the first-optimum walk only")
+    dim = matrix.dim
+    if first_optimum:
+        factor = cholesky(CorrelationMatrix(matrix.entries[::-1, ::-1]))
+    else:
+        factor = cholesky(matrix)
     qdec = q_decomposition(factor)
-    dim = qdec.dim
 
     # Jitter shifts every float metric up by jitter * L; widen the budget by
     # the same amount so exact-metric membership is preserved.
     abs_slack = BUDGET_ABS_EPS * float(np.abs(matrix.entries).max()) * dim
-    cap = (float(radius) + factor.jitter * dim) * (1.0 + RADIUS_EPS) + abs_slack
-    q_diag = qdec.q_diag
-    q_upper = qdec.q_upper
 
-    work = np.zeros(dim, dtype=np.int64)
-    nodes = 0
+    def cap_for(metric: float) -> float:
+        return (metric + factor.jitter * dim) * (1.0 + RADIUS_EPS) + abs_slack
+
+    if first_optimum:
+        floor = certified_floor(matrix, lambda_min) if lambda_min is not None else None
+        best_metric: int | None = None
+        best_chips: list | None = None
+        leaves = 0
+
+        def improve(values, cap):
+            nonlocal best_metric, best_chips, leaves
+            leaves += 1
+            chips = np.array(values, dtype=np.int64)
+            exact = int(chips @ matrix.entries @ chips)
+            if best_metric is not None and exact >= best_metric:
+                return cap
+            best_metric, best_chips = exact, values
+            if floor is not None and exact <= floor:
+                return None
+            return cap_for(exact - 1)
+
+        nodes = _walk(qdec, cap_for(float(radius)), False, improve)
+        if best_metric is None:
+            raise EmptySphere(
+                f"no antipodal point within squared radius {radius!r} (L={dim})"
+            )
+        return SearchResult(
+            best=Signature(tuple(best_chips)),
+            best_metric=best_metric,
+            candidates_enumerated=leaves,
+            nodes_visited=nodes,
+            radius_c=float(radius),
+            ties=1,
+        )
+
     candidates: list[tuple[Signature, int]] = []
     trace: list[SearchState] | None = [] if collect_trace else None
     best: tuple[int, tuple[int, ...], Signature] | None = None
 
-    def visit(level: int, used: float) -> None:
-        nonlocal nodes, cap, best
-        idx = level - 1
-        remaining = cap - used
-        delta = float(q_upper[idx, idx + 1 :] @ work[idx + 1 :]) if level < dim else 0.0
-        lb, ub = interval_bounds(remaining, float(q_diag[idx]), delta)
-        for value in (1, -1):
-            if value < lb or value > ub:
-                continue
-            if level == dim and value == -1:
-                continue
-            work[idx] = value
-            nodes += 1
-            if trace is not None:
-                trace.append(
-                    SearchState(
-                        level=level,
-                        delta=delta,
-                        budget=remaining,
-                        partial=tuple(int(x) for x in work[idx:]),
-                    )
-                )
-            spent = used + float(q_diag[idx]) * (delta + value) ** 2
-            if level == 1:
-                sig = Signature(tuple(int(x) for x in work))
-                exact = quadratic_metric(matrix, sig)
-                candidates.append((sig, exact))
-                key = (exact, _lexkey(sig))
-                if best is None or key < (best[0], best[1]):
-                    best = (exact, _lexkey(sig), sig)
-                    if tighten:
-                        shrunk = (exact + factor.jitter * dim) * (1.0 + RADIUS_EPS)
-                        cap = min(cap, shrunk + abs_slack)
-            else:
-                visit(level - 1, spent)
-        work[idx] = 0
+    def collect(values, cap):
+        nonlocal best
+        sig = Signature(tuple(reversed(values)))
+        exact = quadratic_metric(matrix, sig)
+        candidates.append((sig, exact))
+        key = (exact, _lexkey(sig))
+        if best is None or key < (best[0], best[1]):
+            best = (exact, key[1], sig)
+            if tighten:
+                return min(cap, cap_for(exact))
+        return cap
 
-    visit(dim, 0.0)
+    nodes = _walk(qdec, cap_for(float(radius)), True, collect, trace)
 
     if best is None:
         raise EmptySphere(
@@ -375,38 +518,73 @@ def local_descent_baseline(matrix: CorrelationMatrix, start: Signature) -> Searc
     )
 
 
-def extend_optimal(signature_set: SignatureSet) -> tuple[Signature, ExtensionDetail]:
-    """Best next signature for a set: full radius-then-search pipeline.
+@dataclass(frozen=True, eq=False)
+class StepAnalysis:
+    """What one extension step knows before any search.
 
-    Builds the autocorrelation matrix, takes the quantized minimum
-    eigenvector as the radius point, and sphere-searches with that exact
-    radius. The returned metric provably equals the exhaustive minimum.
+    R, its minimum eigenvalue, the sign-quantized eigenvector and its exact
+    metric (the search radius), and from the forward Cholesky factor of R
+    the operation bound and whether jitter was needed.
     """
+
+    matrix: CorrelationMatrix
+    lambda_min: float
+    quantized: Signature
+    quant_metric: int
+    fp_bound: float | None
+    jitter_applied: bool
+
+    @property
+    def radius(self) -> float:
+        return float(self.quant_metric)
+
+    def first_optimum(self) -> SearchResult:
+        """The optimal extension by the first-optimum sphere walk."""
+        return sphere_search(
+            self.matrix, self.radius, first_optimum=True, lambda_min=self.lambda_min
+        )
+
+
+def analyse_step(signature_set: SignatureSet) -> StepAnalysis:
+    """Build R once and derive the radius, eigenvalue and bound from it."""
     matrix = correlation_matrix(signature_set)
     pair = min_eigenpair(matrix)
     quantized = quantize_sign(pair.vector)
     quant_metric = quadratic_metric(matrix, quantized)
-    radius = float(quant_metric)
 
     factor = cholesky(matrix)
-    result = sphere_search(matrix, radius)
-
     # Reciprocal of the smallest squared diagonal caps the per-axis reach.
     diag = np.diag(factor.entries)
     scale = 1.0 / float((diag * diag).min())
     try:
-        fp_bound = fp_operation_bound(matrix.dim, radius, scale)
+        fp_bound = fp_operation_bound(matrix.dim, float(quant_metric), scale)
     except BoundOverflow:
         fp_bound = None
-
-    detail = ExtensionDetail(
-        radius_c=radius,
+    return StepAnalysis(
+        matrix=matrix,
         lambda_min=pair.value,
+        quantized=quantized,
         quant_metric=quant_metric,
+        fp_bound=fp_bound,
+        jitter_applied=factor.jitter > 0.0,
+    )
+
+
+def extend_optimal(signature_set: SignatureSet) -> tuple[Signature, ExtensionDetail]:
+    """Best next signature for a set: one step analysis, then the
+    first-optimum sphere walk. The returned metric provably equals the
+    exhaustive minimum.
+    """
+    step = analyse_step(signature_set)
+    result = step.first_optimum()
+    detail = ExtensionDetail(
+        radius_c=step.radius,
+        lambda_min=step.lambda_min,
+        quant_metric=step.quant_metric,
         best_metric=result.best_metric,
         nodes_visited=result.nodes_visited,
         candidates_enumerated=result.candidates_enumerated,
-        fp_bound=fp_bound,
-        jitter_applied=factor.jitter > 0.0,
+        fp_bound=step.fp_bound,
+        jitter_applied=step.jitter_applied,
     )
     return result.best, detail
