@@ -29,24 +29,21 @@ from .bounds import (
     binary_tsc_bound,
     welch_bound,
 )
-from .linalg import min_eigenpair, quantize_sign
 from .sigcore import (
     SetFormatError,
     Signature,
     SignatureSet,
-    correlation_matrix,
     extend_set,
     load_set,
-    quadratic_metric,
     tsc,
     tsc_increment,
 )
 from .sphere import (
     DEFAULT_ML_CAP,
+    InternalConsistencyError,
     analyse_step,
     local_descent_baseline,
     ml_exhaustive,
-    sphere_search,
 )
 
 __all__ = [
@@ -79,10 +76,6 @@ _METHOD_LABELS = {
 AUDIT_AUTO_MAX_L = 16
 ML_CAP_ENV = "SIGFORGE_ML_CAP"
 REPORT_SCHEMA = "sigforge.report/1"
-
-
-class InternalConsistencyError(RuntimeError):
-    """A guaranteed-equal quantity came out unequal; the build is wrong."""
 
 
 def resolve_ml_cap(explicit: int | None = None) -> int:
@@ -323,17 +316,12 @@ def compare_methods(signature_set: SignatureSet, *, ml_cap: int | None = None) -
     """
     cap = resolve_ml_cap(ml_cap)
     length = signature_set.length
-    matrix = correlation_matrix(signature_set)
+    step = analyse_step(signature_set)
     tsc_before = tsc(signature_set)
 
-    pair = min_eigenpair(matrix)
-    quantized = quantize_sign(pair.vector)
-    quant_metric = quadratic_metric(matrix, quantized)
-    descent_metric = local_descent_baseline(matrix, quantized).best_metric
-    sd_metric = sphere_search(
-        matrix, float(quant_metric), first_optimum=True, lambda_min=pair.value
-    ).best_metric
-    ml_metric = ml_exhaustive(matrix, cap).best_metric
+    descent_metric = local_descent_baseline(step.matrix, step.quantized).best_metric
+    sd_metric = step.first_optimum().best_metric
+    ml_metric = ml_exhaustive(step.matrix, cap).best_metric
     if sd_metric != ml_metric:
         raise InternalConsistencyError(
             f"sphere metric {sd_metric} != exhaustive metric {ml_metric} "
@@ -344,7 +332,7 @@ def compare_methods(signature_set: SignatureSet, *, ml_cap: int | None = None) -
         k_after=signature_set.k + 1,
         length=length,
         tsc_before=tsc_before,
-        tsc_quant=tsc_increment(tsc_before, quant_metric, length),
+        tsc_quant=tsc_increment(tsc_before, step.quant_metric, length),
         tsc_descent=tsc_increment(tsc_before, descent_metric, length),
         tsc_sd=tsc_increment(tsc_before, sd_metric, length),
         tsc_ml=tsc_increment(tsc_before, ml_metric, length),

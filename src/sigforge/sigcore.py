@@ -177,10 +177,11 @@ class CorrelationMatrix:
 def tsc(signature_set: SignatureSet) -> int:
     """Total squared correlation: sum over all ordered pairs of (s_i . s_j)^2.
 
-    Exact integer result; equals trace((S S^T)^2) for the stacked matrix S.
+    Exact in int64 while (K*L)^2 < 2^63; equals trace((S S^T)^2) = ||R||_F^2.
     """
-    gram = signature_set.matrix() @ signature_set.matrix().T
-    return sum(int(g) * int(g) for g in gram.flat)
+    m = signature_set.matrix()
+    gram = m @ m.T
+    return int((gram * gram).sum())
 
 
 def correlation_matrix(signature_set: SignatureSet) -> CorrelationMatrix:

@@ -43,6 +43,7 @@ __all__ = [
     "ExtensionDetail",
     "EmptySphere",
     "CapExceeded",
+    "InternalConsistencyError",
     "radius_squared",
     "q_decomposition",
     "interval_bounds",
@@ -54,6 +55,7 @@ __all__ = [
     "extend_optimal",
     "RADIUS_EPS",
     "DEFAULT_ML_CAP",
+    "EXACT_SCAN_LIMIT",
 ]
 
 # Multiplicative slack on the float budget; a boundary candidate (metric
@@ -66,8 +68,11 @@ RADIUS_EPS = 1e-9
 # boundary candidates, never wrong ones (exact re-scoring settles the rest).
 BUDGET_ABS_EPS = 1e-12
 DEFAULT_ML_CAP = 24
-
-_CHUNK = 1 << 16
+# The exhaustive scan's float64 partial sums are exact integers while
+# sum |R_ij| stays below this.
+EXACT_SCAN_LIMIT = 1 << 53
+# Float64 entries per block of the exhaustive scan (2 MB).
+_BLOCK = 1 << 18
 
 
 class EmptySphere(RuntimeError):
@@ -79,7 +84,11 @@ class EmptySphere(RuntimeError):
 
 
 class CapExceeded(RuntimeError):
-    """Exhaustive scan refused: 2^(L-1) points exceeds the configured cap."""
+    """Exhaustive scan refused: L above the cap, or R too large to scan exactly."""
+
+
+class InternalConsistencyError(RuntimeError):
+    """A guaranteed-equal quantity came out unequal; the build is wrong."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -431,49 +440,69 @@ def sphere_search(
     )
 
 
-def _chunk_signs(start: int, stop: int, dim: int) -> np.ndarray:
-    """Rows start..stop of the s_L=+1 half-cube in lexicographic order
-    (+1 < -1), one coordinate per bit, s_1 highest."""
-    idx = np.arange(start, stop, dtype=np.int64)
-    signs = np.empty((idx.size, dim), dtype=np.int64)
-    for col in range(dim - 1):
-        bit = (idx >> (dim - 2 - col)) & 1
-        signs[:, col] = 1 - 2 * bit
-    signs[:, dim - 1] = 1
-    return signs
+def _lex_signs(bits: int) -> np.ndarray:
+    """All 2^bits sign rows in lexicographic order (+1 < -1), the first
+    column most significant."""
+    shifts = np.arange(bits - 1, -1, -1, dtype=np.int64)
+    idx = np.arange(1 << bits, dtype=np.int64)[:, np.newaxis]
+    return 1 - 2 * ((idx >> shifts) & 1)
 
 
 def ml_exhaustive(matrix: CorrelationMatrix, cap: int = DEFAULT_ML_CAP) -> SearchResult:
     """Scan all 2^(L-1) sign vectors with s_L = +1 and return the minimum.
 
-    Exact integer metrics throughout; the first minimum in lexicographic
-    order wins, matching the sphere search tie-break. Raises CapExceeded
-    for L above ``cap``.
+    Meet in the middle (Horowitz & Sahni 1974): s = (a, b) with head
+    a = s_1..s_h, h = floor(L/2), so s^T R s = a^T A a + b^T B b + a^T (2 C b).
+    The head and tail forms and the cross products 2 C b are int64 tables, and
+    each block of head rows costs one float64 matrix product. Every partial
+    sum is an integer of magnitude at most sum |R_ij|, so the floats are exact
+    while that sum is below 2^53; beyond it, as for L above ``cap``, the scan
+    raises CapExceeded. The flat index head * 2^(t-1) + tail is lexicographic,
+    so the first minimum is the sphere search's tie-break winner. It is
+    re-scored in integers; disagreeing with the float minimum is an
+    InternalConsistencyError.
     """
     dim = matrix.dim
     if dim > cap:
         raise CapExceeded(f"L={dim} exceeds the exhaustive-search cap of {cap}")
+    r = matrix.entries
+    magnitude = sum(map(abs, r.ravel().tolist()))
+    if magnitude >= EXACT_SCAN_LIMIT:
+        raise CapExceeded(
+            f"L={dim}: sum |R_ij| = {magnitude} is not below {EXACT_SCAN_LIMIT}, "
+            "the bound for an exact float64 scan"
+        )
+    h = dim // 2
+    heads = _lex_signs(h)
+    tails = _lex_signs(dim - h)[::2]  # the rows with s_L = +1
+    head_q = ((heads @ r[:h, :h]) * heads).sum(axis=1).astype(np.float64)
+    tail_q = ((tails @ r[h:, h:]) * tails).sum(axis=1).astype(np.float64)
+    cross = (2 * r[:h, h:] @ tails.T).astype(np.float64)
+    n_tail = tails.shape[0]
+    rows = max(1, _BLOCK // n_tail)
+    best_metric, best_index, ties = math.inf, -1, 0
+    for start in range(0, heads.shape[0], rows):
+        block = heads[start : start + rows] @ cross
+        block += head_q[start : start + rows, np.newaxis]
+        block += tail_q
+        pos = int(block.argmin())
+        block_min = float(block.flat[pos])
+        if block_min < best_metric:
+            best_metric, best_index, ties = block_min, start * n_tail + pos, 0
+        if block_min == best_metric:
+            ties += int(np.count_nonzero(block == block_min))
+    head_index, tail_index = divmod(best_index, n_tail)
+    chips = np.concatenate([heads[head_index], tails[tail_index]])
+    exact = int(chips @ r @ chips)
+    if exact != best_metric:
+        raise InternalConsistencyError(
+            f"exhaustive scan at L={dim}: float minimum {best_metric!r} != "
+            f"exact metric {exact} of its winner"
+        )
     total = 1 << (dim - 1)
-    best_metric: int | None = None
-    best_index = -1
-    ties = 0
-    for start in range(0, total, _CHUNK):
-        stop = min(start + _CHUNK, total)
-        signs = _chunk_signs(start, stop, dim)
-        metrics = ((signs @ matrix.entries) * signs).sum(axis=1)
-        chunk_best = int(metrics.min())
-        if best_metric is None or chunk_best < best_metric:
-            best_metric = chunk_best
-            best_index = start + int(np.argmax(metrics == chunk_best))
-            ties = int((metrics == chunk_best).sum())
-        elif chunk_best == best_metric:
-            ties += int((metrics == chunk_best).sum())
-    assert best_metric is not None
-    chips = _chunk_signs(best_index, best_index + 1, dim)[0]
-    best = Signature(tuple(int(x) for x in chips))
     return SearchResult(
-        best=best,
-        best_metric=best_metric,
+        best=Signature(tuple(chips.tolist())),
+        best_metric=exact,
         candidates_enumerated=total,
         nodes_visited=total,
         radius_c=math.inf,

@@ -2,9 +2,11 @@
 
 import json
 
+import numpy as np
 import pytest
 
-from sigforge import hadamard_set, load_set, save_set
+import sigforge.sphere
+from sigforge import CorrelationMatrix, hadamard_set, load_set, save_set
 from sigforge.cli import main
 from sigforge.harness import ML_CAP_ENV
 
@@ -116,6 +118,36 @@ class TestChainCommand:
     def test_garbage_cap_env(self, h4_file, capsys, monkeypatch):
         monkeypatch.setenv(ML_CAP_ENV, "lots")
         assert main(["chain", h4_file, "--to", "6", "--audit"]) == 2
+
+
+class TestExhaustiveScanLimits:
+    """The scan's float64 range surfaces through the CLI exit codes."""
+
+    @pytest.fixture
+    def h16_file(self, tmp_path):
+        path = tmp_path / "h16.txt"
+        save_set(hadamard_set(16), path)
+        return str(path)
+
+    @staticmethod
+    def use_matrix(monkeypatch, entries):
+        matrix = CorrelationMatrix(entries)
+        monkeypatch.setattr(sigforge.sphere, "correlation_matrix", lambda _: matrix)
+
+    def test_beyond_float_limit_exits_2(self, h16_file, capsys, monkeypatch):
+        self.use_matrix(monkeypatch, np.eye(16, dtype=np.int64) * (1 << 49))
+        assert main(["extend", h16_file, "--method", "ml"]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "L=16" in err and "9007199254740992" in err
+
+    def test_inexact_scan_exits_3(self, h16_file, capsys, monkeypatch):
+        monkeypatch.setattr(sigforge.sphere, "EXACT_SCAN_LIMIT", 1 << 63)
+        entries = np.eye(16, dtype=np.int64) * (1 << 58)
+        entries[0, 1] = entries[1, 0] = 1
+        self.use_matrix(monkeypatch, entries)
+        assert main(["extend", h16_file, "--method", "ml"]) == 3
+        err = capsys.readouterr().err
+        assert "internal consistency failure" in err and "float minimum" in err
 
 
 class TestCompareCommand:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sigforge import (
     CorrelationMatrix,
@@ -94,6 +96,22 @@ class TestTsc:
 
     def test_returns_plain_int(self):
         assert isinstance(tsc(hadamard_set(2)), int)
+
+    @given(
+        st.integers(1, 12).flatmap(
+            lambda length: st.lists(
+                st.lists(st.sampled_from([-1, 1]), min_size=length, max_size=length),
+                min_size=1,
+                max_size=40,
+            )
+        )
+    )
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    def test_equals_frobenius_norm_of_r(self, rows):
+        # trace((S S^T)^2) == trace((S^T S)^2) == ||R||_F^2.
+        s = SignatureSet.from_rows(rows)
+        entries = correlation_matrix(s).entries.tolist()
+        assert tsc(s) == sum(r * r for row in entries for r in row)
 
 
 class TestCorrelationMatrix:

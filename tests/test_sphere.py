@@ -4,10 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import sigforge.sphere
 from sigforge import (
     CapExceeded,
+    CorrelationMatrix,
     EmptySphere,
+    InternalConsistencyError,
     Signature,
     SignatureSet,
     cholesky,
@@ -26,7 +31,7 @@ from sigforge import (
     sphere_search,
     tsc,
 )
-from sigforge.sphere import QDecomposition
+from sigforge.sphere import EXACT_SCAN_LIMIT, QDecomposition, analyse_step
 
 
 def random_correlation(rng, length, k_hi_factor=3):
@@ -347,3 +352,113 @@ class TestExtendOptimal:
         best, detail = extend_optimal(s)
         assert detail.jitter_applied
         assert detail.best_metric == 0
+
+
+def brute_force_scan(matrix, length):
+    """Plain-loop oracle: first lexicographic minimum and its tie count."""
+    scored = [(quadratic_metric(matrix, s), s) for s in all_half_space(length)]
+    best_metric = min(metric for metric, _ in scored)
+    best = next(s for metric, s in scored if metric == best_metric)
+    ties = sum(1 for metric, _ in scored if metric == best_metric)
+    return best, best_metric, ties
+
+
+@st.composite
+def scan_sets(draw):
+    length = draw(st.integers(1, 12))
+    k = draw(st.integers(1, 3 * length))
+    rows = draw(
+        st.lists(
+            st.lists(st.sampled_from([-1, 1]), min_size=length, max_size=length),
+            min_size=k,
+            max_size=k,
+        )
+    )
+    return SignatureSet.from_rows(rows)
+
+
+class TestMeetInTheMiddleScan:
+    """The split scan against the plain loop over the half-cube."""
+
+    @given(scan_sets())
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    def test_matches_plain_loop(self, signature_set):
+        m = correlation_matrix(signature_set)
+        result = ml_exhaustive(m)
+        assert (result.best, result.best_metric, result.ties) == brute_force_scan(
+            m, signature_set.length
+        )
+        assert result.candidates_enumerated == 1 << (signature_set.length - 1)
+
+    @pytest.mark.parametrize("length", range(1, 13))
+    def test_every_split_width(self, length):
+        # L = 1 has an empty head, L = 2 and 3 a one-bit head, and the tail of
+        # L = 1 and 2 is the pinned bit alone; odd L splits unevenly.
+        rng = np.random.default_rng(100 + length)
+        for _ in range(4):
+            m = random_correlation(rng, length)
+            result = ml_exhaustive(m)
+            assert (result.best, result.best_metric, result.ties) == brute_force_scan(
+                m, length
+            )
+
+    @pytest.mark.parametrize("length", [1, 2, 4, 8])
+    def test_hadamard_every_point_ties(self, length):
+        m = correlation_matrix(hadamard_set(length))
+        result = ml_exhaustive(m)
+        assert result.best == Signature((1,) * length)
+        assert result.best_metric == length * length
+        assert result.ties == 1 << (length - 1)
+
+    def test_hadamard_chain_steps_many_ties(self):
+        current = hadamard_set(8)
+        for _ in range(4):
+            m = correlation_matrix(current)
+            result = ml_exhaustive(m)
+            expected = brute_force_scan(m, 8)
+            assert (result.best, result.best_metric, result.ties) == expected
+            assert result.ties > 1
+            current = extend_set(current, result.best)
+
+    @pytest.mark.parametrize("length", [5, 8, 9])
+    def test_one_head_row_per_block(self, length, monkeypatch):
+        # Ties and minima then fall in different blocks; the first still wins.
+        monkeypatch.setattr(sigforge.sphere, "_BLOCK", 1)
+        rng = np.random.default_rng(200 + length)
+        matrices = [random_correlation(rng, length) for _ in range(3)]
+        if length == 8:
+            matrices.append(correlation_matrix(hadamard_set(8)))
+        for m in matrices:
+            result = ml_exhaustive(m)
+            assert (result.best, result.best_metric, result.ties) == brute_force_scan(
+                m, length
+            )
+
+    def test_cap_size_scan_matches_first_optimum(self):
+        # One scan at the L = 24 cap: 2^23 points.
+        rng = np.random.default_rng(24)
+        step = analyse_step(SignatureSet.from_rows(rng.choice([-1, 1], size=(36, 24)).tolist()))
+        scan = ml_exhaustive(step.matrix, cap=24)
+        walk = step.first_optimum()
+        assert scan.candidates_enumerated == scan.nodes_visited == 1 << 23
+        assert (scan.best, scan.best_metric) == (walk.best, walk.best_metric)
+
+    def test_exact_just_below_float_limit(self):
+        diag = (EXACT_SCAN_LIMIT >> 4) - 1  # sum |R_ij| = 2^53 - 16
+        result = ml_exhaustive(CorrelationMatrix(np.eye(16, dtype=np.int64) * diag))
+        assert result.best_metric == 16 * diag
+        assert result.ties == 1 << 15
+
+    def test_refuses_beyond_float_limit(self):
+        m = CorrelationMatrix(np.eye(16, dtype=np.int64) * (1 << 49))
+        with pytest.raises(CapExceeded, match=r"L=16.*9007199254740992"):
+            ml_exhaustive(m)
+
+    def test_inexact_float_minimum_is_an_internal_failure(self, monkeypatch):
+        # With the limit lifted, 2^62 swamps the off-diagonal +-2 in float64:
+        # every point scores 2^62, but the first one is exactly 2^62 + 2.
+        monkeypatch.setattr(sigforge.sphere, "EXACT_SCAN_LIMIT", 1 << 63)
+        entries = np.eye(16, dtype=np.int64) * (1 << 58)
+        entries[0, 1] = entries[1, 0] = 1
+        with pytest.raises(InternalConsistencyError, match="float minimum"):
+            ml_exhaustive(CorrelationMatrix(entries))
