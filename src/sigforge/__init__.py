@@ -57,15 +57,12 @@ from .sigcore import (
 from .sphere import (
     CapExceeded,
     EmptySphere,
-    ExtensionDetail,
     QDecomposition,
     SearchResult,
     SearchState,
     StepAnalysis,
     analyse_step,
     certified_floor,
-    extend_optimal,
-    interval_bounds,
     local_descent_baseline,
     ml_exhaustive,
     q_decomposition,
@@ -108,18 +105,15 @@ __all__ = [
     "SearchState",
     "SearchResult",
     "StepAnalysis",
-    "ExtensionDetail",
     "EmptySphere",
     "CapExceeded",
     "radius_squared",
     "q_decomposition",
-    "interval_bounds",
     "certified_floor",
     "sphere_search",
     "ml_exhaustive",
     "local_descent_baseline",
     "analyse_step",
-    "extend_optimal",
     "ExtensionRecord",
     "ChainReport",
     "CompareRow",

@@ -40,7 +40,10 @@ from .sigcore import (
 )
 from .sphere import (
     DEFAULT_ML_CAP,
+    CapExceeded,
     InternalConsistencyError,
+    SearchResult,
+    StepAnalysis,
     analyse_step,
     local_descent_baseline,
     ml_exhaustive,
@@ -204,6 +207,38 @@ def _bound_after(k_after: int, length: int, table: BoundTable | None) -> BoundVa
     return welch_bound(k_after, length)
 
 
+def _solve(step: StepAnalysis, method: str, cap: int) -> SearchResult:
+    """The search that answers ``method`` on one analysed step; "quant" is
+    the quantized eigenvector itself, a one-node result."""
+    if method == "sd":
+        return step.first_optimum()
+    if method == "ml":
+        return ml_exhaustive(step.matrix, cap)
+    if method == "descent":
+        return local_descent_baseline(step.matrix, step.quantized)
+    return SearchResult(
+        best=step.quantized,
+        best_metric=step.quant_metric,
+        candidates_enumerated=1,
+        nodes_visited=1,
+        radius_c=step.radius,
+        ties=1,
+    )
+
+
+def _check_audit(
+    signature_set: SignatureSet, method: str, sd: SearchResult, ml: SearchResult
+) -> None:
+    """The sphere and the scan must reach the same metric; anything else is
+    an InternalConsistencyError naming K, L and the method being run."""
+    if sd.best_metric != ml.best_metric:
+        raise InternalConsistencyError(
+            f"audit failed at K={signature_set.k}, L={signature_set.length}, "
+            f"method {method}: sphere metric {sd.best_metric} != exhaustive "
+            f"metric {ml.best_metric}"
+        )
+
+
 def extend_once(
     signature_set: SignatureSet,
     method: str = "sd",
@@ -228,35 +263,19 @@ def extend_once(
     cap = resolve_ml_cap(ml_cap)
     length = signature_set.length
     step = analyse_step(signature_set)
-    matrix = step.matrix
     if audit is None:
         audit = length <= AUDIT_AUTO_MAX_L and length <= cap
 
-    sd_result = step.first_optimum() if method == "sd" or audit else None
-    ml_result = ml_exhaustive(matrix, cap) if method == "ml" or audit else None
-    if method == "quant":
-        best, metric, nodes, enumerated = step.quantized, step.quant_metric, 1, 1
-    else:
-        if method == "sd":
-            result = sd_result
-        elif method == "ml":
-            result = ml_result
-        else:
-            result = local_descent_baseline(matrix, step.quantized)
-        best, metric = result.best, result.best_metric
-        nodes, enumerated = result.nodes_visited, result.candidates_enumerated
-
     agreement: bool | None = None
+    solved = {}
     if audit:
-        agreement = sd_result.best_metric == ml_result.best_metric
-        if not agreement:
-            raise InternalConsistencyError(
-                f"audit failed at K={signature_set.k}, L={length}: "
-                f"sphere metric {sd_result.best_metric} != exhaustive metric "
-                f"{ml_result.best_metric}"
-            )
+        # The scan first: a step above the cap fails before the walk runs.
+        solved = {name: _solve(step, name, cap) for name in ("ml", "sd")}
+        _check_audit(signature_set, method, solved["sd"], solved["ml"])
+        agreement = True
+    result = solved[method] if method in solved else _solve(step, method, cap)
 
-    extended = extend_set(signature_set, best)
+    extended = extend_set(signature_set, result.best)
     tsc_before = tsc(signature_set)
     record = ExtensionRecord(
         k_before=signature_set.k,
@@ -264,11 +283,11 @@ def extend_once(
         tsc_before=tsc_before,
         tsc_after=tsc(extended),
         method=method,
-        metric=metric,
+        metric=result.best_metric,
         radius_c=step.radius,
         lambda_min=step.lambda_min,
-        nodes_visited=nodes,
-        candidates_enumerated=enumerated,
+        nodes_visited=result.nodes_visited,
+        candidates_enumerated=result.candidates_enumerated,
         fp_bound=step.fp_bound,
         jitter_applied=step.jitter_applied,
         welch_after=welch_bound(signature_set.k + 1, length),
@@ -319,23 +338,21 @@ def compare_methods(signature_set: SignatureSet, *, ml_cap: int | None = None) -
     step = analyse_step(signature_set)
     tsc_before = tsc(signature_set)
 
-    descent_metric = local_descent_baseline(step.matrix, step.quantized).best_metric
-    sd_metric = step.first_optimum().best_metric
-    ml_metric = ml_exhaustive(step.matrix, cap).best_metric
-    if sd_metric != ml_metric:
-        raise InternalConsistencyError(
-            f"sphere metric {sd_metric} != exhaustive metric {ml_metric} "
-            f"at K={signature_set.k}, L={length}"
-        )
-
+    # The scan first: a set above the cap fails before the other searches.
+    solved = {name: _solve(step, name, cap) for name in ("ml", "sd", "descent", "quant")}
+    _check_audit(signature_set, "sd", solved["sd"], solved["ml"])
+    after = {
+        name: tsc_increment(tsc_before, result.best_metric, length)
+        for name, result in solved.items()
+    }
     return CompareRow(
         k_after=signature_set.k + 1,
         length=length,
         tsc_before=tsc_before,
-        tsc_quant=tsc_increment(tsc_before, step.quant_metric, length),
-        tsc_descent=tsc_increment(tsc_before, descent_metric, length),
-        tsc_sd=tsc_increment(tsc_before, sd_metric, length),
-        tsc_ml=tsc_increment(tsc_before, ml_metric, length),
+        tsc_quant=after["quant"],
+        tsc_descent=after["descent"],
+        tsc_sd=after["sd"],
+        tsc_ml=after["ml"],
     )
 
 
@@ -344,9 +361,9 @@ def one_shot_experiment(
 ) -> CompareReport:
     """Batch comparison over set files, with TSC-minus-bound gap columns.
 
-    Per-file load and validation errors land in that file's entry; the rest
-    of the batch still runs. Consistency failures are not per-file errors
-    and propagate.
+    Per-file load and validation errors, and a set above the exhaustive
+    cap, land in that file's entry; the rest of the batch still runs.
+    Consistency failures are not per-file errors and propagate.
     """
     entries = []
     for path in set_paths:
@@ -354,7 +371,7 @@ def one_shot_experiment(
         try:
             loaded = load_set(path)
             row = compare_methods(loaded, ml_cap=ml_cap)
-        except (OSError, SetFormatError, ValueError, Underloaded) as exc:
+        except (OSError, SetFormatError, ValueError, Underloaded, CapExceeded) as exc:
             entries.append(CompareEntry(path=path, error=str(exc)))
             continue
         bound = _bound_after(row.k_after, row.length, table)

@@ -40,19 +40,16 @@ __all__ = [
     "SearchState",
     "SearchResult",
     "StepAnalysis",
-    "ExtensionDetail",
     "EmptySphere",
     "CapExceeded",
     "InternalConsistencyError",
     "radius_squared",
     "q_decomposition",
-    "interval_bounds",
     "certified_floor",
     "sphere_search",
     "ml_exhaustive",
     "local_descent_baseline",
     "analyse_step",
-    "extend_optimal",
     "RADIUS_EPS",
     "DEFAULT_ML_CAP",
     "EXACT_SCAN_LIMIT",
@@ -152,20 +149,6 @@ class SearchResult:
     trace: tuple | None = None
 
 
-@dataclass(frozen=True)
-class ExtensionDetail:
-    """Per-extension diagnostics from the full pipeline run."""
-
-    radius_c: float
-    lambda_min: float
-    quant_metric: int
-    best_metric: int
-    nodes_visited: int
-    candidates_enumerated: int
-    fp_bound: float | None
-    jitter_applied: bool
-
-
 def _lexkey(chips) -> tuple[int, ...]:
     # +1 sorts before -1.
     return tuple(0 if c == 1 else 1 for c in chips)
@@ -188,24 +171,6 @@ def q_decomposition(factor: CholeskyFactor) -> QDecomposition:
     q_upper = u / d[:, np.newaxis]
     q_upper = np.triu(q_upper, 1)
     return QDecomposition(q_diag=q_diag, q_upper=q_upper)
-
-
-def interval_bounds(budget: float, q_kk: float, delta: float) -> tuple[int, int]:
-    """Integer range for one coordinate, clamped to [-1, +1].
-
-    Admissible values v satisfy q_kk * (delta + v)^2 <= budget. Returns
-    (LB, UB); LB > UB means the subtree is pruned. Only -1 and +1 inside
-    the range are antipodal candidates (an interval reduced to {0} prunes
-    too).
-    """
-    if q_kk <= 0.0:
-        raise ValueError("q_kk must be strictly positive")
-    if budget < 0.0:
-        return (1, 0)
-    root = math.sqrt(budget / q_kk)
-    ub = min(int(math.floor(root - delta)), 1)
-    lb = max(int(math.ceil(-root - delta)), -1)
-    return (lb, ub)
 
 
 def _positive_definite(a: list) -> bool:
@@ -323,7 +288,6 @@ def sphere_search(
     matrix: CorrelationMatrix,
     radius: float,
     *,
-    tighten: bool = False,
     collect_trace: bool = False,
     first_optimum: bool = False,
     lambda_min: float | None = None,
@@ -336,10 +300,8 @@ def sphere_search(
 
     Default (fixed-radius) walk: coordinates are fixed from s_L down to s_1,
     +1 before -1, the radius fixed for the whole walk, and every candidate in
-    the ball is enumerated. ``tighten`` shrinks the working budget to the
-    best exact metric found so far (equal-metric candidates are still
-    admitted, so the returned optimum and tie-break never change, only the
-    node counts). ``collect_trace`` records a SearchState per expanded node.
+    the ball is enumerated. ``collect_trace`` records a SearchState per
+    expanded node.
 
     ``first_optimum`` walk: R is factored with its indices reversed, so s_1
     is fixed first and s_L last, and leaves arrive in tie-break order. After
@@ -355,8 +317,8 @@ def sphere_search(
     """
     if not (radius >= 0.0):
         raise ValueError("radius must be >= 0")
-    if first_optimum and (tighten or collect_trace):
-        raise ValueError("the first-optimum walk always tightens and takes no trace")
+    if first_optimum and collect_trace:
+        raise ValueError("the first-optimum walk takes no trace")
     if not first_optimum and lambda_min is not None:
         raise ValueError("lambda_min is used by the first-optimum walk only")
     dim = matrix.dim
@@ -417,8 +379,6 @@ def sphere_search(
         key = (exact, _lexkey(sig))
         if best is None or key < (best[0], best[1]):
             best = (exact, key[1], sig)
-            if tighten:
-                return min(cap, cap_for(exact))
         return cap
 
     nodes = _walk(qdec, cap_for(float(radius)), True, collect, trace)
@@ -597,23 +557,3 @@ def analyse_step(signature_set: SignatureSet) -> StepAnalysis:
         fp_bound=fp_bound,
         jitter_applied=factor.jitter > 0.0,
     )
-
-
-def extend_optimal(signature_set: SignatureSet) -> tuple[Signature, ExtensionDetail]:
-    """Best next signature for a set: one step analysis, then the
-    first-optimum sphere walk. The returned metric provably equals the
-    exhaustive minimum.
-    """
-    step = analyse_step(signature_set)
-    result = step.first_optimum()
-    detail = ExtensionDetail(
-        radius_c=step.radius,
-        lambda_min=step.lambda_min,
-        quant_metric=step.quant_metric,
-        best_metric=result.best_metric,
-        nodes_visited=result.nodes_visited,
-        candidates_enumerated=result.candidates_enumerated,
-        fp_bound=step.fp_bound,
-        jitter_applied=step.jitter_applied,
-    )
-    return result.best, detail

@@ -1,4 +1,4 @@
-"""Shared pytest wiring for the acceptance verdict summary.
+"""Shared pytest wiring: the acceptance verdict summary and a wrong scan.
 
 The acceptance tests register one PASS/FAIL line per criterion; replaying
 them from pytest_terminal_summary keeps the lines out of per-test capture,
@@ -6,8 +6,11 @@ so every run log ends with the full verdict list.
 """
 
 import contextlib
+import dataclasses
 
 import pytest
+
+import sigforge.harness
 
 _VERDICTS = pytest.StashKey[list]()
 
@@ -31,6 +34,19 @@ def criterion(request):
         lines.append(f"{name}: PASS")
 
     return guard
+
+
+@pytest.fixture
+def wrong_scan(monkeypatch):
+    """An exhaustive scan, as the harness calls it, that reports one more
+    than the true minimum."""
+    scan = sigforge.harness.ml_exhaustive
+
+    def off_by_one(matrix, cap):
+        result = scan(matrix, cap)
+        return dataclasses.replace(result, best_metric=result.best_metric + 1)
+
+    monkeypatch.setattr(sigforge.harness, "ml_exhaustive", off_by_one)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

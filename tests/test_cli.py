@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import sigforge.sphere
-from sigforge import CorrelationMatrix, hadamard_set, load_set, save_set
+from sigforge import CorrelationMatrix, SignatureSet, hadamard_set, load_set, save_set
 from sigforge.cli import main
 from sigforge.harness import ML_CAP_ENV
 
@@ -83,6 +83,12 @@ class TestExtendCommand:
     def test_method_choices_enforced(self, h4_file, capsys):
         with pytest.raises(SystemExit):
             main(["extend", h4_file, "--method", "sdm"])
+
+    def test_audit_mismatch_exits_3(self, h4_file, capsys, wrong_scan):
+        assert main(["extend", h4_file, "--method", "descent", "--audit"]) == 3
+        err = capsys.readouterr().err
+        assert "internal consistency failure" in err
+        assert "K=4, L=4, method descent:" in err
 
     def test_quant_method(self, h4_file, capsys):
         assert main(["extend", h4_file, "--method", "quant"]) == 0
@@ -167,6 +173,23 @@ class TestCompareCommand:
         assert main(["compare", h4_file, "/nope.txt"]) == 2
         out = capsys.readouterr().out
         assert "/nope.txt" in out  # error row still emitted
+
+    def test_set_above_cap_keeps_the_batch(self, tmp_path, capsys):
+        rng = np.random.default_rng(70)
+        ok, big = str(tmp_path / "ok8.txt"), str(tmp_path / "big25.txt")
+        save_set(SignatureSet.from_rows(rng.choice([-1, 1], size=(10, 8)).tolist()), ok)
+        save_set(SignatureSet.from_rows(rng.choice([-1, 1], size=(30, 25)).tolist()), big)
+        assert main(["compare", ok, big, ok]) == 2
+        header, first, capped, last = capsys.readouterr().out.strip().split("\n")
+        assert first.startswith(ok + ",11,8,") and first.endswith(",")
+        assert last == first
+        assert capped.startswith(big + ",,") and "cap of 24" in capped
+
+    def test_cap_env_lands_in_error_column(self, h4_file, capsys, monkeypatch):
+        monkeypatch.setenv(ML_CAP_ENV, "3")
+        assert main(["compare", h4_file]) == 2
+        (row,) = capsys.readouterr().out.strip().split("\n")[1:]
+        assert row.startswith(h4_file + ",,") and "cap of 3" in row
 
 
 class TestReportCommand:

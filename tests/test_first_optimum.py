@@ -146,8 +146,6 @@ class TestIterativeWalk:
         with pytest.raises(ValueError):
             sphere_search(m, 16.0, first_optimum=True, collect_trace=True)
         with pytest.raises(ValueError):
-            sphere_search(m, 16.0, first_optimum=True, tighten=True)
-        with pytest.raises(ValueError):
             sphere_search(m, 16.0, lambda_min=4.0)
 
 

@@ -230,6 +230,19 @@ class TestOneShot:
         assert entry.gap_quant == entry.row.tsc_quant - entry.bound.value
         assert entry.gap_ml == entry.row.tsc_ml - entry.bound.value
 
+    def test_set_above_cap_is_a_per_file_error(self, tmp_path):
+        rng = np.random.default_rng(69)
+        ok, big = tmp_path / "ok8.txt", tmp_path / "big25.txt"
+        save_set(random_set(rng, 10, 8), ok)
+        save_set(random_set(rng, 30, 25), big)
+        first, capped, last = one_shot_experiment([ok, big, ok]).entries
+        assert first.error is None and first.row.tsc_sd == first.row.tsc_ml
+        assert last.row == first.row
+        assert capped.row is None
+        assert "cap of 24" in capped.error
+        (lowered,) = one_shot_experiment([ok], ml_cap=6).entries
+        assert lowered.row is None and "cap of 6" in lowered.error
+
 
 class TestEmitReport:
     def test_single_step_csv_shape(self):
@@ -294,3 +307,18 @@ class TestAuditEndToEnd:
     def test_audit_off_when_requested(self):
         report = upscale_chain(hadamard_set(8), 10, audit=False)
         assert all(flag is None for flag in report.audit)
+
+
+class TestAuditMismatch:
+    """A sphere-vs-scan disagreement is fatal wherever the audit runs."""
+
+    @pytest.mark.parametrize("method", ["sd", "ml", "quant", "descent"])
+    def test_extend_once_raises(self, wrong_scan, method):
+        with pytest.raises(InternalConsistencyError) as caught:
+            extend_once(hadamard_set(4), method, audit=True)
+        assert f"K=4, L=4, method {method}:" in str(caught.value)
+
+    def test_compare_methods_raises(self, wrong_scan):
+        with pytest.raises(InternalConsistencyError) as caught:
+            compare_methods(hadamard_set(8))
+        assert "K=8, L=8, method sd:" in str(caught.value)

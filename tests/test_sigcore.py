@@ -162,6 +162,30 @@ class TestQuadraticMetric:
             sig = Signature(tuple(rng.choice([-1, 1], size=5).tolist()))
             assert quadratic_metric(m, sig) == quadratic_metric(m, -sig)
 
+    @given(
+        st.integers(1, 12).flatmap(
+            lambda length: st.tuples(
+                st.lists(
+                    st.lists(st.sampled_from([-1, 1]), min_size=length, max_size=length),
+                    min_size=1,
+                    max_size=40,
+                ),
+                st.lists(st.sampled_from([-1, 1]), min_size=length, max_size=length),
+            )
+        )
+    )
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    def test_rescoring_identity(self, case):
+        # s^T R s == ||S s||^2 makes the metric the TSC increment's cross
+        # term, and its sign symmetry justifies pinning s_L = +1.
+        rows, chips = case
+        m = correlation_matrix(SignatureSet.from_rows(rows))
+        sig = Signature(tuple(chips))
+        projections = np.array(rows, dtype=np.int64) @ np.array(chips, dtype=np.int64)
+        metric = quadratic_metric(m, sig)
+        assert metric == int((projections * projections).sum())
+        assert metric == quadratic_metric(m, -sig)
+
 
 class TestTscRecursion:
     def test_increment_matches_recount(self):

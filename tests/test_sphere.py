@@ -17,10 +17,8 @@ from sigforge import (
     SignatureSet,
     cholesky,
     correlation_matrix,
-    extend_optimal,
     extend_set,
     hadamard_set,
-    interval_bounds,
     local_descent_baseline,
     min_eigenpair,
     ml_exhaustive,
@@ -108,25 +106,6 @@ class TestQDecomposition:
             QDecomposition(q_diag=np.array([1.0, 0.0]), q_upper=np.zeros((2, 2)))
         with pytest.raises(ValueError):
             QDecomposition(q_diag=np.array([1.0, 1.0]), q_upper=np.eye(2))
-
-
-class TestIntervalBounds:
-    def test_full_interval(self):
-        assert interval_bounds(16.0, 4.0, 0.0) == (-1, 1)
-
-    def test_prune_to_zero_only(self):
-        assert interval_bounds(0.5, 4.0, 0.0) == (0, 0)
-
-    def test_offset_admits_single_value(self):
-        assert interval_bounds(4.0, 1.0, 1.5) == (-1, 0)
-
-    def test_negative_budget_is_empty(self):
-        lb, ub = interval_bounds(-1e-12, 4.0, 0.0)
-        assert lb > ub
-
-    def test_bad_weight_rejected(self):
-        with pytest.raises(ValueError):
-            interval_bounds(1.0, 0.0, 0.0)
 
 
 class TestSphereSearch:
@@ -242,19 +221,6 @@ class TestSphereSearch:
             last = result.best_metric
             current = extend_set(current, result.best)
 
-    def test_tighten_same_answer_fewer_nodes(self):
-        rng = np.random.default_rng(49)
-        for _ in range(25):
-            length = int(rng.integers(3, 11))
-            m = random_correlation(rng, length)
-            c = paper_radius(m)
-            plain = sphere_search(m, c)
-            tight = sphere_search(m, c, tighten=True)
-            assert tight.best_metric == plain.best_metric
-            assert tight.best == plain.best
-            assert tight.ties == plain.ties
-            assert tight.nodes_visited <= plain.nodes_visited
-
 
 class TestMlExhaustive:
     def test_identity_kernel(self):
@@ -318,40 +284,44 @@ class TestLocalDescent:
 
 
 class TestExtendOptimal:
+    """The optimal extension of a set: one step analysis, then the
+    first-optimum walk."""
+
     def test_hadamard_16(self):
-        best, detail = extend_optimal(hadamard_set(16))
-        assert detail.best_metric == 256
-        assert tsc(extend_set(hadamard_set(16), best)) == 4864
+        result = analyse_step(hadamard_set(16)).first_optimum()
+        assert result.best_metric == 256
+        assert tsc(extend_set(hadamard_set(16), result.best)) == 4864
 
     def test_hadamard_4(self):
-        best, detail = extend_optimal(hadamard_set(4))
-        assert detail.best_metric == 16
-        assert tsc(extend_set(hadamard_set(4), best)) == 112
+        result = analyse_step(hadamard_set(4)).first_optimum()
+        assert result.best_metric == 16
+        assert tsc(extend_set(hadamard_set(4), result.best)) == 112
 
     def test_random_matches_brute_force(self):
         rng = np.random.default_rng(53)
         rows = rng.choice([-1, 1], size=(10, 8)).tolist()
         s = SignatureSet.from_rows(rows)
-        best, detail = extend_optimal(s)
+        result = analyse_step(s).first_optimum()
         m = correlation_matrix(s)
         brute = min(quadratic_metric(m, sig) for sig in all_half_space(8))
-        assert detail.best_metric == brute
-        assert quadratic_metric(m, best) == brute
+        assert result.best_metric == brute
+        assert quadratic_metric(m, result.best) == brute
 
     def test_detail_fields_consistent(self):
         rng = np.random.default_rng(54)
         s = SignatureSet.from_rows(rng.choice([-1, 1], size=(6, 5)).tolist())
-        best, detail = extend_optimal(s)
-        assert detail.radius_c == float(detail.quant_metric)
-        assert detail.best_metric <= detail.quant_metric
-        assert detail.candidates_enumerated >= 1
-        assert detail.fp_bound is None or detail.fp_bound > 0.0
+        step = analyse_step(s)
+        result = step.first_optimum()
+        assert result.radius_c == step.radius == float(step.quant_metric)
+        assert result.best_metric <= step.quant_metric
+        assert result.candidates_enumerated >= 1
+        assert step.fp_bound is None or step.fp_bound > 0.0
 
     def test_degenerate_set_uses_jitter(self):
         s = SignatureSet.from_rows([[1, 1], [1, 1]])
-        best, detail = extend_optimal(s)
-        assert detail.jitter_applied
-        assert detail.best_metric == 0
+        step = analyse_step(s)
+        assert step.jitter_applied
+        assert step.first_optimum().best_metric == 0
 
 
 def brute_force_scan(matrix, length):
