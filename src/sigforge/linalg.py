@@ -127,30 +127,6 @@ def _offdiag_norm(a: np.ndarray) -> float:
     return float(np.sqrt((off * off).sum()))
 
 
-def _jacobi_rotate(a: np.ndarray, vecs: np.ndarray, p: int, q: int) -> None:
-    apq = a[p, q]
-    tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-    if tau >= 0.0:
-        t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-    else:
-        t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-    c = 1.0 / math.sqrt(1.0 + t * t)
-    s = t * c
-
-    row_p, row_q = a[p, :].copy(), a[q, :].copy()
-    a[p, :] = c * row_p - s * row_q
-    a[q, :] = s * row_p + c * row_q
-    col_p, col_q = a[:, p].copy(), a[:, q].copy()
-    a[:, p] = c * col_p - s * col_q
-    a[:, q] = s * col_p + c * col_q
-    a[p, q] = 0.0
-    a[q, p] = 0.0
-
-    vec_p, vec_q = vecs[:, p].copy(), vecs[:, q].copy()
-    vecs[:, p] = c * vec_p - s * vec_q
-    vecs[:, q] = s * vec_p + c * vec_q
-
-
 def min_eigenpair(matrix: CorrelationMatrix) -> EigenPair:
     """Smallest eigenvalue and a unit eigenvector, by cyclic Jacobi sweeps.
 
@@ -158,21 +134,50 @@ def min_eigenpair(matrix: CorrelationMatrix) -> EigenPair:
     1e-12 * ||R||_F, capped at 100 sweeps. Raises EigenFailure (carrying the
     best residual) if the cap is hit or the final residual exceeds
     1e-8 * ||R||_max * L.
+
+    Each rotation runs on Python float lists: rows p and q are rotated and
+    mirrored into columns p and q. For j outside {p, q} the column update
+    rounds the same products and sums as the row update (neither CPython
+    nor numpy fuses them), so the matrix stays exactly symmetric and every
+    entry is bit-identical to a two-sided numpy rotation. The eigenvector
+    matrix is kept transposed, one list per column.
     """
     a = matrix.entries.astype(np.float64)
     n = matrix.dim
-    vecs = np.eye(n)
     off_tol = JACOBI_OFF_TOL * float(np.sqrt((a * a).sum()))
+    a, vecs = a.tolist(), np.eye(n).tolist()
 
     converged = False
     for _ in range(JACOBI_SWEEP_CAP):
-        if _offdiag_norm(a) <= off_tol:
+        if _offdiag_norm(np.array(a)) <= off_tol:
             converged = True
             break
         for p in range(n - 1):
             for q in range(p + 1, n):
-                if a[p, q] != 0.0:
-                    _jacobi_rotate(a, vecs, p, q)
+                apq = a[p][q]
+                if apq == 0.0:
+                    continue
+                tau = (a[q][q] - a[p][p]) / (2.0 * apq)
+                if tau >= 0.0:
+                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
+                else:
+                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
+                c = 1.0 / math.sqrt(1.0 + t * t)
+                s = t * c
+                row_p, row_q = a[p], a[q]
+                new_p = [c * x - s * y for x, y in zip(row_p, row_q)]
+                new_q = [s * x + c * y for x, y in zip(row_p, row_q)]
+                # The 2x2 block: the column pass applied to the rotated rows.
+                new_p[p] = c * new_p[p] - s * new_p[q]
+                new_q[q] = s * new_q[p] + c * new_q[q]
+                new_p[q] = new_q[p] = 0.0
+                a[p], a[q] = new_p, new_q
+                for row, x, y in zip(a, new_p, new_q):
+                    row[p], row[q] = x, y
+                vec_p, vec_q = vecs[p], vecs[q]
+                vecs[p] = [c * x - s * y for x, y in zip(vec_p, vec_q)]
+                vecs[q] = [s * x + c * y for x, y in zip(vec_p, vec_q)]
+    a = np.array(a)
     if not converged and _offdiag_norm(a) > off_tol:
         raise EigenFailure(
             f"no convergence within {JACOBI_SWEEP_CAP} sweeps "
@@ -182,7 +187,7 @@ def min_eigenpair(matrix: CorrelationMatrix) -> EigenPair:
 
     idx = int(np.argmin(np.diag(a)))
     value = float(a[idx, idx])
-    vector = vecs[:, idx].copy()
+    vector = np.array(vecs[idx])
     vector /= math.sqrt(float(vector @ vector))
 
     residual = float(np.sqrt(((matrix.entries @ vector - value * vector) ** 2).sum()))

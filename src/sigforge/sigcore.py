@@ -29,7 +29,12 @@ __all__ = [
     "hadamard_set",
     "load_set",
     "save_set",
+    "INT64_LIMIT",
 ]
+
+# int64 sums stay exact while their terms' magnitudes add up to less than
+# this: sum |R_ij| for R and its quadratic forms, (K*L)^2 for the TSC.
+INT64_LIMIT = 1 << 63
 
 
 class SetFormatError(ValueError):
@@ -136,7 +141,9 @@ class CorrelationMatrix:
     """Integer autocorrelation matrix sum_i s_i s_i^T of a signature set.
 
     Symmetric with a constant diagonal equal to the number K of contributing
-    signatures. Entries are stored as a read-only int64 array.
+    signatures. Entries are stored as a read-only int64 array. A matrix
+    whose sum |R_ij| is not below 2^63 is refused, so every quadratic form
+    s^T R s over +-1 vectors is exact in int64.
     """
 
     entries: np.ndarray
@@ -150,6 +157,12 @@ class CorrelationMatrix:
             if not np.array_equal(rounded, a):
                 raise ValueError("correlation matrix entries must be integers")
             a = rounded
+        magnitude = sum(map(abs, map(int, a.ravel().tolist())))
+        if magnitude >= INT64_LIMIT:
+            raise ValueError(
+                f"sum |R_ij| = {magnitude} is not below {INT64_LIMIT}, "
+                "the bound for exact int64 metrics"
+            )
         a = a.astype(np.int64)
         if not np.array_equal(a, a.T):
             raise ValueError("correlation matrix must be symmetric")
@@ -177,8 +190,14 @@ class CorrelationMatrix:
 def tsc(signature_set: SignatureSet) -> int:
     """Total squared correlation: sum over all ordered pairs of (s_i . s_j)^2.
 
-    Exact in int64 while (K*L)^2 < 2^63; equals trace((S S^T)^2) = ||R||_F^2.
+    Exact in int64 while (K*L)^2 < 2^63, and refused with ValueError beyond
+    that; equals trace((S S^T)^2) = ||R||_F^2.
     """
+    scale = (signature_set.k * signature_set.length) ** 2
+    if scale >= INT64_LIMIT:
+        raise ValueError(
+            f"(K*L)^2 = {scale} is not below {INT64_LIMIT}, the bound for an exact int64 TSC"
+        )
     m = signature_set.matrix()
     gram = m @ m.T
     return int((gram * gram).sum())

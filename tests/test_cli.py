@@ -1,14 +1,18 @@
 """Exit codes, output shapes, and determinism of the command-line surface."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sigforge.sigcore
 import sigforge.sphere
 from sigforge import CorrelationMatrix, SignatureSet, hadamard_set, load_set, save_set
 from sigforge.cli import main
 from sigforge.harness import ML_CAP_ENV
+
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture
@@ -156,6 +160,26 @@ class TestExhaustiveScanLimits:
         assert "internal consistency failure" in err and "float minimum" in err
 
 
+class TestInt64Limits:
+    """Inputs beyond the exact int64 range exit 2 through the CLI."""
+
+    def test_tsc_beyond_range_exits_2(self, h4_file, capsys, monkeypatch):
+        monkeypatch.setattr(sigforge.sigcore, "INT64_LIMIT", 256)
+        assert main(["tsc", h4_file]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_matrix_beyond_range_exits_2(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "h16.txt"
+        save_set(hadamard_set(16), path)
+        huge = np.eye(16, dtype=np.int64) << 59  # sum |R_ij| = 2^63
+        monkeypatch.setattr(
+            sigforge.sphere, "correlation_matrix", lambda _: CorrelationMatrix(huge)
+        )
+        assert main(["extend", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "sum |R_ij|" in err
+
+
 class TestCompareCommand:
     def test_csv_on_stdout(self, h4_file, capsys):
         assert main(["compare", h4_file]) == 0
@@ -216,6 +240,14 @@ class TestReportCommand:
         code = main(["report", h4_file, "--to", "6", "--format", "csv", "--out", str(out)])
         assert code == 0
         assert out.exists()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_reference_run_matches_golden_file(self, fmt, tmp_path, capsys):
+        # The default run (Hadamard 16 -> 32, sd, audited) pins lambda_min,
+        # radius_c, fp_bound and nodes_visited, so eigensolver drift fails.
+        out = tmp_path / f"report.{fmt}"
+        assert main(["report", "--format", fmt, "--out", str(out)]) == 0
+        assert out.read_bytes() == (DATA / f"reference_report.{fmt}").read_bytes()
 
     def test_format_required(self, tmp_path):
         with pytest.raises(SystemExit):

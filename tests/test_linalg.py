@@ -1,8 +1,13 @@
-"""Hand-rolled Cholesky and Jacobi kernels against numpy oracles."""
+"""Hand-rolled Cholesky and Jacobi kernels against numpy oracles, and the
+list-based Jacobi against the per-rotation numpy kernel it replaced."""
 
+import jacobi_reference
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import sigforge.linalg
 from sigforge import (
     CorrelationMatrix,
     EigenFailure,
@@ -15,10 +20,17 @@ from sigforge import (
     min_eigenpair,
     quadratic_metric,
     quantize_sign,
+    save_set,
+    upscale_chain,
 )
+from sigforge.cli import main
 from sigforge.linalg import CholeskyFactor, EigenPair
 
 RECON_TOL = 1e-8
+
+PROPERTY_SETTINGS = settings(
+    max_examples=60, deadline=None, derandomize=True, database=None
+)
 
 
 def random_matrix(rng, length, k_lo=None, k_hi=None):
@@ -127,6 +139,108 @@ class TestMinEigenpair:
         pair = min_eigenpair(correlation_matrix(hadamard_set(4)))
         with pytest.raises(ValueError):
             pair.vector[0] = 5.0
+
+
+def rows_of(length, count):
+    """``count`` rows of +-1 chips, each drawn as one integer bit mask."""
+    masks = st.lists(st.integers(0, (1 << length) - 1), min_size=count, max_size=count)
+    return masks.map(
+        lambda ms: [[1 - 2 * ((m >> i) & 1) for i in range(length)] for m in ms]
+    )
+
+
+@st.composite
+def random_sets(draw):
+    length = draw(st.integers(1, 24))
+    return SignatureSet.from_rows(draw(rows_of(length, draw(st.integers(1, 3 * length)))))
+
+
+@st.composite
+def repeated_row_sets(draw):
+    """A few distinct rows, each repeated: low rank, degenerate eigenspaces."""
+    length = draw(st.integers(1, 24))
+    distinct = draw(rows_of(length, draw(st.integers(1, 3))))
+    repeats = draw(st.lists(st.integers(1, 4), min_size=len(distinct), max_size=len(distinct)))
+    return SignatureSet.from_rows(
+        [row for row, times in zip(distinct, repeats) for _ in range(times)]
+    )
+
+
+@st.composite
+def underloaded_sets(draw):
+    """K < L: R is singular."""
+    length = draw(st.integers(2, 24))
+    return SignatureSet.from_rows(draw(rows_of(length, draw(st.integers(1, length - 1)))))
+
+
+def assert_matches_reference(signature_set):
+    m = correlation_matrix(signature_set)
+    pair, reference = min_eigenpair(m), jacobi_reference.min_eigenpair(m)
+    assert pair.value == reference.value
+    assert np.array_equal(pair.vector, reference.vector)
+
+
+@pytest.fixture(scope="module")
+def reference_chain_sets():
+    final = upscale_chain(hadamard_set(16), 32, "sd", audit=False).final_set
+    return [SignatureSet(final.signatures[:k]) for k in range(16, 32)]
+
+
+class TestBitIdentity:
+    """The list-based sweep returns the exact floats of the numpy rotation."""
+
+    @PROPERTY_SETTINGS
+    @given(random_sets())
+    def test_random_sets(self, signature_set):
+        assert_matches_reference(signature_set)
+
+    @PROPERTY_SETTINGS
+    @given(repeated_row_sets())
+    def test_repeated_rows(self, signature_set):
+        assert_matches_reference(signature_set)
+
+    @PROPERTY_SETTINGS
+    @given(underloaded_sets())
+    def test_fewer_signatures_than_chips(self, signature_set):
+        assert_matches_reference(signature_set)
+
+    @PROPERTY_SETTINGS
+    @given(st.integers(1, 24).flatmap(lambda length: rows_of(length, 1)))
+    def test_single_signature(self, rows):
+        assert_matches_reference(SignatureSet.from_rows(rows))
+
+    @pytest.mark.parametrize("step", range(16))
+    def test_reference_chain_steps(self, reference_chain_sets, step):
+        # lambda_min = 16 with multiplicity 16 - step: degenerate on all but the last.
+        assert_matches_reference(reference_chain_sets[step])
+
+
+class TestEigenFailurePaths:
+    """Both raise paths of min_eigenpair run, thresholds patched per test."""
+
+    @pytest.fixture
+    def l12_matrix(self):
+        return random_matrix(np.random.default_rng(26), 12)
+
+    def test_sweep_cap(self, l12_matrix, monkeypatch):
+        monkeypatch.setattr(sigforge.linalg, "JACOBI_SWEEP_CAP", 1)
+        with pytest.raises(EigenFailure, match="no convergence within 1 sweeps") as info:
+            min_eigenpair(l12_matrix)
+        assert info.value.residual > 0
+
+    def test_residual_tolerance(self, l12_matrix, monkeypatch):
+        monkeypatch.setattr(sigforge.linalg, "RESIDUAL_TOL", 0.0)
+        with pytest.raises(EigenFailure, match="exceeds tolerance") as info:
+            min_eigenpair(l12_matrix)
+        assert info.value.residual > 0
+
+    def test_cli_extend_exits_3(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "l12.txt"
+        rng = np.random.default_rng(26)
+        save_set(SignatureSet.from_rows(rng.choice([-1, 1], size=(18, 12)).tolist()), path)
+        monkeypatch.setattr(sigforge.linalg, "JACOBI_SWEEP_CAP", 1)
+        assert main(["extend", str(path)]) == 3
+        assert "no convergence" in capsys.readouterr().err
 
 
 class TestQuantizeSign:

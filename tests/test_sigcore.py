@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sigforge.sigcore
 from sigforge import (
     CorrelationMatrix,
     SetFormatError,
@@ -185,6 +186,37 @@ class TestQuadraticMetric:
         metric = quadratic_metric(m, sig)
         assert metric == int((projections * projections).sum())
         assert metric == quadratic_metric(m, -sig)
+
+
+class TestInt64Range:
+    """R and the TSC are refused beyond the range where int64 stays exact."""
+
+    def test_matrix_at_the_limit_refused(self):
+        # sum |R_ij| = 4 * 2^61 = 2^63; quadratic_metric used to wrap to -2^63.
+        with pytest.raises(ValueError, match="not below 9223372036854775808"):
+            CorrelationMatrix(np.eye(4, dtype=np.int64) << 61)
+
+    def test_matrix_below_the_limit_scores_exactly(self):
+        m = CorrelationMatrix(np.eye(4, dtype=np.int64) * ((1 << 61) - 1))
+        assert quadratic_metric(m, Signature((1, 1, 1, 1))) == (1 << 63) - 4
+
+    def test_magnitude_summed_without_wrapping(self):
+        # sum |R_ij| = 2^63 in both; an int64 sum wraps to -2^63 on the
+        # first, and a sum without abs gives 0 on the second.
+        with pytest.raises(ValueError):
+            CorrelationMatrix(np.eye(2, dtype=np.int64) << 62)
+        entries = np.full((2, 2), -(1 << 61), dtype=np.int64)
+        np.fill_diagonal(entries, 1 << 61)
+        with pytest.raises(ValueError):
+            CorrelationMatrix(entries)
+
+    def test_tsc_range_enforced(self, monkeypatch):
+        h4 = hadamard_set(4)  # (K*L)^2 = 256, tsc 64
+        monkeypatch.setattr(sigforge.sigcore, "INT64_LIMIT", 257)
+        assert tsc(h4) == 64
+        monkeypatch.setattr(sigforge.sigcore, "INT64_LIMIT", 256)
+        with pytest.raises(ValueError, match=r"\(K\*L\)\^2 = 256"):
+            tsc(h4)
 
 
 class TestTscRecursion:
