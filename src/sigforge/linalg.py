@@ -101,20 +101,22 @@ def _factor_upper(a: np.ndarray, pivot_floor: float):
     return u, None
 
 
-def cholesky(matrix: CorrelationMatrix) -> CholeskyFactor:
-    """Factor R = U^T U with U upper triangular.
+def cholesky(matrix: CorrelationMatrix | np.ndarray) -> CholeskyFactor:
+    """Factor R, or a square array derived from a validated R, as U^T U with
+    U upper triangular.
 
-    If a pivot falls below 1e-9 * K (R singular or nearly so), adds that much
-    jitter to the diagonal and refactors once; the second pass accepts pivots
-    down to half the floor to absorb rounding. Raises SingularMatrix if the
-    jittered pass still fails, which means R was not positive semidefinite.
+    If a pivot falls below 1e-9 times the first diagonal entry (K for R:
+    singular or nearly so), adds that much jitter to the diagonal and
+    refactors once; the second pass accepts pivots down to half the floor to
+    absorb rounding. Raises SingularMatrix if the jittered pass still fails,
+    which means the input was not positive semidefinite.
     """
-    a = matrix.entries.astype(np.float64)
-    floor = PIVOT_FLOOR_COEFF * matrix.k
+    a = (matrix.entries if isinstance(matrix, CorrelationMatrix) else matrix).astype(np.float64)
+    floor = PIVOT_FLOOR_COEFF * float(a[0, 0])
     u, _ = _factor_upper(a, floor)
     if u is not None:
         return CholeskyFactor(entries=u, jitter=0.0)
-    u, bad = _factor_upper(a + floor * np.eye(matrix.dim), 0.5 * floor)
+    u, bad = _factor_upper(a + floor * np.eye(a.shape[0]), 0.5 * floor)
     if u is None:
         raise SingularMatrix(
             f"pivot {bad:.3e} at/below floor {floor:.3e} even after diagonal jitter"

@@ -8,10 +8,11 @@ every leaf is re-scored in exact integer arithmetic, so floating point can
 only ever admit extra leaves, never corrupt the argmin.
 
 Two walks share one iterative tree traversal. The default walk enumerates
-the whole ball at a fixed radius. The first-optimum walk factors the
-index-reversed R so that leaves arrive in tie-break order, shrinks the
-radius strictly after each exact improvement, and stops at a certified
-eigenvalue floor; it is the one the extension pipeline runs.
+the whole ball at a fixed radius. The first-optimum walk, the one the
+extension pipeline runs, visits leaves in tie-break order, starts at a
+nearest-plane leaf's metric, shrinks the radius after each exact
+improvement, stops at a certified eigenvalue floor, and also prunes with a
+shifted form that ranks sign vectors as R does.
 
 Also provides the exhaustive scan used as the optimality oracle and a plain
 single-bit-flip descent baseline for method comparisons.
@@ -28,6 +29,7 @@ import numpy as np
 from .bounds import BoundOverflow, fp_operation_bound
 from .linalg import CholeskyFactor, cholesky, min_eigenpair, quantize_sign
 from .sigcore import (
+    INT64_LIMIT,
     CorrelationMatrix,
     Signature,
     SignatureSet,
@@ -227,24 +229,36 @@ def certified_floor(matrix: CorrelationMatrix, lambda_min: float) -> int | None:
     return None
 
 
-def _walk(qdec: QDecomposition, cap: float, pin_root: bool, on_leaf, trace=None) -> int:
+def _nearest_plane(rows: list) -> list[int]:
+    """Babai's nearest-plane leaf of a form, as (x_L, ..., x_1): one O(L^2)
+    path taking at each level the sign closest to -delta, +1 on a tie."""
+    path: list[int] = []
+    for row in reversed(rows):
+        path.append(1 if sum(map(mul, row, path)) <= 0.0 else -1)
+    return path
+
+
+def _walk(forms: list, caps: list, pin_root: bool, on_leaf, trace=None) -> int:
     """Iterative depth-first walk of {x : ||U x||^2 <= cap} over the cube,
     in factor order: x_L first, x_1 at the leaves, +1 before -1.
 
-    The pinned coordinate takes +1 only: x_L when ``pin_root``, else x_1.
-    ``on_leaf(values, cap)`` receives each admitted leaf as a list
-    (x_L, ..., x_1) and returns the cap for the rest of the walk, or None to
-    stop. ``trace``, when a list, receives one SearchState per admitted
-    node. Returns the number of admitted nodes.
+    ``forms`` holds one or two (q_diag, rows) pairs over the same index
+    order, ``caps`` their caps; a node is admitted only when each form's
+    partial sum is within its cap. The pinned coordinate takes +1 only: x_L
+    when ``pin_root``, else x_1. ``on_leaf(values, caps)`` receives each
+    admitted leaf as a list (x_L, ..., x_1) and returns the caps for the
+    rest of the walk, or None to stop. ``trace``, when a list, receives one
+    SearchState per admitted node. Returns the number of admitted nodes.
     """
-    n = qdec.dim
-    q_diag = qdec.q_diag.tolist()
-    # rows[i] holds q_ij for j = L-1 down to i+1, aligned with ``path``.
-    rows = [qdec.q_upper[i, i + 1 :][::-1].tolist() for i in range(n)]
+    q_diag, rows = forms[0]
+    two = len(forms) == 2
+    q_diag2, rows2 = forms[-1]
+    cap, cap2 = caps[0], caps[-1]
+    n = len(q_diag)
     pinned = n - 1 if pin_root else 0
     path: list[int] = []
-    used = [0.0] * n
-    delta = [0.0] * n
+    used, used2 = [0.0] * n, [0.0] * n
+    delta, delta2 = [0.0] * n, [0.0] * n
     todo = [0] * n  # next value to try per level; 0 once both are done
     level = n - 1
     todo[level] = 1
@@ -262,6 +276,11 @@ def _walk(qdec: QDecomposition, cap: float, pin_root: bool, on_leaf, trace=None)
         spent = used[level] + q_diag[level] * offset * offset
         if spent > cap:
             continue
+        if two:
+            offset = delta2[level] + value
+            spent2 = used2[level] + q_diag2[level] * offset * offset
+            if spent2 > cap2:
+                continue
         nodes += 1
         if trace is not None:
             trace.append(
@@ -273,14 +292,18 @@ def _walk(qdec: QDecomposition, cap: float, pin_root: bool, on_leaf, trace=None)
                 )
             )
         if level == 0:
-            cap = on_leaf(path + [value], cap)
-            if cap is None:
+            caps = on_leaf(path + [value], caps)
+            if caps is None:
                 return nodes
+            cap, cap2 = caps[0], caps[-1]
             continue
         path.append(value)
         level -= 1
         used[level] = spent
         delta[level] = sum(map(mul, rows[level], path))
+        if two:
+            used2[level] = spent2
+            delta2[level] = sum(map(mul, rows2[level], path))
         todo[level] = 1
 
 
@@ -304,13 +327,19 @@ def sphere_search(
     expanded node.
 
     ``first_optimum`` walk: R is factored with its indices reversed, so s_1
-    is fixed first and s_L last, and leaves arrive in tie-break order. After
-    each exact improvement m the radius shrinks to m - 1; metrics are
-    integers, so the first leaf reaching the final metric is the
-    lexicographically first optimum. With ``lambda_min`` the walk also stops
-    at the first leaf meeting ``certified_floor(matrix, lambda_min)``. It
+    is fixed first and s_L last, and leaves arrive in tie-break order. The
+    radius starts at the smallest of ``radius`` and the exact metrics of the
+    nearest-plane leaves of the walked forms, which seed no answer. After
+    each exact improvement m it shrinks to m - 1; metrics are integers, so
+    the first leaf reaching the final metric is the lexicographically first
+    optimum. With ``lambda_min`` the walk also stops at the first leaf
+    meeting b = ``certified_floor(matrix, lambda_min)``, and when b > 2 and
+    L * sum |R_ij| < 2^63 it also bounds A = L*R - (b-2)*I. Every antipodal
+    s has s^T s = L, so s^T A s = L * s^T R s - (b-2) * L ranks leaves as R
+    does, and b's certificate L*R - (b-1)*I > 0 makes A > I; a node must fit
+    both caps, so the walk admits a subset of the plain walk's nodes. It
     keeps no candidates and takes no trace; ``candidates_enumerated`` counts
-    the leaves reached, ``ties`` is 1.
+    the leaves reached, ``ties`` is 1, and neither counts the dives.
 
     Raises EmptySphere when no candidate lies inside; with the quantized
     eigenvector radius that cannot happen.
@@ -322,38 +351,62 @@ def sphere_search(
     if not first_optimum and lambda_min is not None:
         raise ValueError("lambda_min is used by the first-optimum walk only")
     dim = matrix.dim
+    r = matrix.entries[::-1, ::-1] if first_optimum else matrix.entries
+    floor = certified_floor(matrix, lambda_min) if lambda_min is not None else None
+    # Each form walked, with the integer map scale * m + offset from a leaf's
+    # metric m to its value under that form.
+    shapes = [(r, 1, 0)]
+    if floor is not None and floor > 2 and dim * int(np.abs(r).sum()) < INT64_LIMIT:
+        shift = floor - 2
+        shapes.insert(0, (r * dim - shift * np.eye(dim, dtype=np.int64), dim, -shift * dim))
+    forms, bounds = [], []
+    for entries, scale, offset in shapes:
+        factor = cholesky(entries)
+        q = q_decomposition(factor)
+        # rows[i] holds q_ij for j = L-1 down to i+1, aligned with the walk's path.
+        rows = [q.q_upper[i, i + 1 :][::-1].tolist() for i in range(dim)]
+        forms.append((q.q_diag.tolist(), rows))
+        # Jitter shifts every float form value up by jitter * L; widen the
+        # budget by the same amount so exact-metric membership is preserved.
+        abs_slack = BUDGET_ABS_EPS * float(np.abs(entries).max()) * dim
+        bounds.append((scale, offset, factor.jitter * dim, abs_slack))
+
+    def caps_for(metric) -> list[float]:
+        # The first-optimum walk passes integer metrics, so scale * m + offset
+        # is exact before it meets a float: the shifted form's value can be
+        # far smaller than either term.
+        return [
+            (scale * metric + offset + jitter) * (1.0 + RADIUS_EPS) + abs_slack
+            for scale, offset, jitter, abs_slack in bounds
+        ]
+
     if first_optimum:
-        factor = cholesky(CorrelationMatrix(matrix.entries[::-1, ::-1]))
-    else:
-        factor = cholesky(matrix)
-    qdec = q_decomposition(factor)
 
-    # Jitter shifts every float metric up by jitter * L; widen the budget by
-    # the same amount so exact-metric membership is preserved.
-    abs_slack = BUDGET_ABS_EPS * float(np.abs(matrix.entries).max()) * dim
+        def score(values) -> int:
+            chips = np.array(values, dtype=np.int64)
+            return int(chips @ matrix.entries @ chips)
 
-    def cap_for(metric: float) -> float:
-        return (metric + factor.jitter * dim) * (1.0 + RADIUS_EPS) + abs_slack
+        dives = [_nearest_plane(rows) for _, rows in forms]
+        start = min(score(leaf if leaf[-1] == 1 else [-x for x in leaf]) for leaf in dives)
+        if radius < start:
+            start = math.floor(radius)
 
-    if first_optimum:
-        floor = certified_floor(matrix, lambda_min) if lambda_min is not None else None
         best_metric: int | None = None
         best_chips: list | None = None
         leaves = 0
 
-        def improve(values, cap):
+        def improve(values, caps):
             nonlocal best_metric, best_chips, leaves
             leaves += 1
-            chips = np.array(values, dtype=np.int64)
-            exact = int(chips @ matrix.entries @ chips)
+            exact = score(values)
             if best_metric is not None and exact >= best_metric:
-                return cap
+                return caps
             best_metric, best_chips = exact, values
             if floor is not None and exact <= floor:
                 return None
-            return cap_for(exact - 1)
+            return caps_for(exact - 1)
 
-        nodes = _walk(qdec, cap_for(float(radius)), False, improve)
+        nodes = _walk(forms, caps_for(start), False, improve)
         if best_metric is None:
             raise EmptySphere(
                 f"no antipodal point within squared radius {radius!r} (L={dim})"
@@ -371,7 +424,7 @@ def sphere_search(
     trace: list[SearchState] | None = [] if collect_trace else None
     best: tuple[int, tuple[int, ...], Signature] | None = None
 
-    def collect(values, cap):
+    def collect(values, caps):
         nonlocal best
         sig = Signature(tuple(reversed(values)))
         exact = quadratic_metric(matrix, sig)
@@ -379,9 +432,9 @@ def sphere_search(
         key = (exact, _lexkey(sig))
         if best is None or key < (best[0], best[1]):
             best = (exact, key[1], sig)
-        return cap
+        return caps
 
-    nodes = _walk(qdec, cap_for(float(radius)), True, collect, trace)
+    nodes = _walk(forms, caps_for(float(radius)), True, collect, trace)
 
     if best is None:
         raise EmptySphere(
