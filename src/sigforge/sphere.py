@@ -277,6 +277,9 @@ def _walk(forms: list, caps: list, pin_root: bool, on_leaf, trace=None) -> int:
         if spent > cap:
             continue
         if two:
+            # Computed on first use: often both children fail the first form.
+            if delta2[level] is None:
+                delta2[level] = sum(map(mul, rows2[level], path))
             offset = delta2[level] + value
             spent2 = used2[level] + q_diag2[level] * offset * offset
             if spent2 > cap2:
@@ -303,7 +306,7 @@ def _walk(forms: list, caps: list, pin_root: bool, on_leaf, trace=None) -> int:
         delta[level] = sum(map(mul, rows[level], path))
         if two:
             used2[level] = spent2
-            delta2[level] = sum(map(mul, rows2[level], path))
+            delta2[level] = None
         todo[level] = 1
 
 
