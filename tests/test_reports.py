@@ -1,0 +1,107 @@
+"""Report bytes: the compare golden files, and CSV rows that agree cell by
+cell with their JSON objects."""
+
+import csv
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from sigforge import emit_report, hadamard_set, one_shot_experiment, upscale_chain
+from sigforge.cli import main
+from sigforge.harness import METHODS, ML_CAP_ENV
+
+ROOT = Path(__file__).parent.parent
+DATA = Path(__file__).parent / "data"
+
+# Hadamard 4; an overloaded L = 8 set on which quant, descent and sd differ;
+# a ragged file; and an L = 25 set above the exhaustive cap.
+COMPARE_SETS = [
+    "tests/data/compare_h4.txt",
+    "tests/data/compare_overloaded.txt",
+    "tests/data/compare_ragged.txt",
+    "tests/data/compare_l25.txt",
+]
+
+
+@pytest.fixture
+def in_repo_root(monkeypatch):
+    """Paths relative to the repository root, the default exhaustive cap."""
+    monkeypatch.delenv(ML_CAP_ENV, raising=False)
+    monkeypatch.chdir(ROOT)
+
+
+class TestCompareGolden:
+    def test_cli_csv_matches_golden_file(self, in_repo_root, capsys):
+        assert main(["compare", *COMPARE_SETS]) == 2
+        out = capsys.readouterr().out.encode("utf-8")
+        assert out == (DATA / "reference_compare.csv").read_bytes()
+
+    def test_json_matches_golden_file(self, in_repo_root):
+        out = emit_report(one_shot_experiment(COMPARE_SETS), "json")
+        assert out == (DATA / "reference_compare.json").read_bytes()
+
+    def test_golden_rows_cover_every_outcome(self):
+        doc = json.loads((DATA / "reference_compare.json").read_text())
+        h4, overloaded, ragged, capped = doc["entries"]
+        assert h4["tsc_sd"] == 112 and h4["error"] is None
+        assert overloaded["tsc_quant"] > overloaded["tsc_descent"] > overloaded["tsc_sd"]
+        assert overloaded["tsc_sd"] == overloaded["tsc_ml"]
+        assert "expected 4 entries" in ragged["error"]
+        assert "exceeds the exhaustive-search cap of 24" in capped["error"]
+
+
+# A CSV column whose header is not its JSON key reads a nested
+# {"value", "kind"} object; every other column reads the key of its header.
+CHAIN_NESTED = {
+    "welch_after": ("welch_after", "value"),
+    "binary_bound_after": ("binary_bound_after", "value"),
+    "binary_bound_kind": ("binary_bound_after", "kind"),
+}
+COMPARE_NESTED = {
+    "binary_bound": ("binary_bound", "value"),
+    "binary_bound_kind": ("binary_bound", "kind"),
+}
+
+
+def documented_cell(value):
+    """null -> empty, booleans -> true/false, floats -> repr, else str."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+def assert_cells_match(header, rows, objects, nested):
+    assert len(rows) == len(objects)
+    read = {nested.get(name, (name, None))[0] for name in header}
+    assert read == set(objects[0])
+    for row, obj in zip(rows, objects):
+        for name, cell in zip(header, row):
+            key, field = nested.get(name, (name, None))
+            value = obj[key] if field is None or obj[key] is None else obj[key][field]
+            assert cell == documented_cell(value), (name, cell, value)
+
+
+class TestCsvMatchesJson:
+    @pytest.mark.parametrize("audit", [None, True, False])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_chain_cells_equal_json_values(self, method, audit):
+        report = upscale_chain(hadamard_set(4), 7, method, audit=audit)
+        header, *rows = csv.reader(io.StringIO(emit_report(report, "csv").decode("utf-8")))
+        steps = json.loads(emit_report(report, "json"))["steps"]
+        assert len(steps) == 3
+        # The step column is the row's position; the JSON steps are a list.
+        assert header[0] == "step"
+        assert [row[0] for row in rows] == ["1", "2", "3"]
+        assert_cells_match(header[1:], [row[1:] for row in rows], steps, CHAIN_NESTED)
+
+    def test_compare_golden_cells_equal_json_values(self):
+        with open(DATA / "reference_compare.csv", newline="") as handle:
+            header, *rows = csv.reader(handle)
+        entries = json.loads((DATA / "reference_compare.json").read_text())["entries"]
+        assert_cells_match(header, rows, entries, COMPARE_NESTED)
