@@ -15,6 +15,7 @@ from .bounds import Underloaded, binary_tsc_bound, load_bound_table, welch_bound
 from .harness import (
     METHODS,
     InternalConsistencyError,
+    _METHOD_LABELS,
     emit_report,
     extend_once,
     one_shot_experiment,
@@ -94,7 +95,7 @@ def _cmd_bound(args) -> int:
 
 
 def _print_record(record, agreement) -> None:
-    print(f"method {record.method}")
+    print(f"method {_METHOD_LABELS[record.method]}")
     print(f"k_before {record.k_before}")
     print(f"k_after {record.k_after}")
     print(f"length {record.length}")

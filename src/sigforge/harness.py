@@ -20,7 +20,7 @@ import csv
 import io
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .bounds import (
     BoundTable,
@@ -389,191 +389,119 @@ def one_shot_experiment(
     return CompareReport(entries=tuple(entries))
 
 
-def _float_cell(value: float | None) -> str:
-    return "" if value is None else repr(float(value))
+# Each CSV column: (header, key of the row's JSON object, field of that
+# key's nested {"value", "kind"} object or None). A CSV row is its JSON
+# object flattened; a chain row also carries its 1-based step number.
+_CHAIN_COLUMNS = (
+    ("step", "step", None),
+    ("k_before", "k_before", None),
+    ("k_after", "k_after", None),
+    ("length", "length", None),
+    ("method", "method", None),
+    ("metric", "metric", None),
+    ("tsc_before", "tsc_before", None),
+    ("tsc_after", "tsc_after", None),
+    ("radius_c", "radius_c", None),
+    ("lambda_min", "lambda_min", None),
+    ("nodes_visited", "nodes_visited", None),
+    ("candidates_enumerated", "candidates_enumerated", None),
+    ("fp_bound", "fp_bound", None),
+    ("jitter_applied", "jitter_applied", None),
+    ("welch_after", "welch_after", "value"),
+    ("binary_bound_after", "binary_bound_after", "value"),
+    ("binary_bound_kind", "binary_bound_after", "kind"),
+    ("audit_agreement", "audit_agreement", None),
+)
+
+_COMPARE_COLUMNS = (
+    ("path", "path", None),
+    ("k_after", "k_after", None),
+    ("length", "length", None),
+    ("tsc_before", "tsc_before", None),
+    ("tsc_quant", "tsc_quant", None),
+    ("tsc_descent", "tsc_descent", None),
+    ("tsc_sd", "tsc_sd", None),
+    ("tsc_ml", "tsc_ml", None),
+    ("binary_bound", "binary_bound", "value"),
+    ("binary_bound_kind", "binary_bound", "kind"),
+    ("gap_quant", "gap_quant", None),
+    ("gap_descent", "gap_descent", None),
+    ("gap_sd", "gap_sd", None),
+    ("gap_ml", "gap_ml", None),
+    ("error", "error", None),
+)
 
 
-def _flag_cell(value: bool | None) -> str:
-    return "" if value is None else ("true" if value else "false")
+def _bound_json(bound: BoundValue | None) -> dict | None:
+    return None if bound is None else {"value": bound.value, "kind": bound.kind}
 
 
-_CHAIN_COLUMNS = [
-    "step",
-    "k_before",
-    "k_after",
-    "length",
-    "method",
-    "metric",
-    "tsc_before",
-    "tsc_after",
-    "radius_c",
-    "lambda_min",
-    "nodes_visited",
-    "candidates_enumerated",
-    "fp_bound",
-    "jitter_applied",
-    "welch_after",
-    "binary_bound_after",
-    "binary_bound_kind",
-    "audit_agreement",
-]
-
-_COMPARE_COLUMNS = [
-    "path",
-    "k_after",
-    "length",
-    "tsc_before",
-    "tsc_quant",
-    "tsc_descent",
-    "tsc_sd",
-    "tsc_ml",
-    "binary_bound",
-    "binary_bound_kind",
-    "gap_quant",
-    "gap_descent",
-    "gap_sd",
-    "gap_ml",
-    "error",
-]
+def _step_json(record: ExtensionRecord, agreement: bool | None) -> dict:
+    """One chain step: the record's fields, its k_after, label and audit flag."""
+    step = {f.name: getattr(record, f.name) for f in fields(record)}
+    step.update(
+        k_after=record.k_after,
+        method=_METHOD_LABELS[record.method],
+        welch_after=_bound_json(record.welch_after),
+        binary_bound_after=_bound_json(record.binary_bound_after),
+        audit_agreement=agreement,
+    )
+    return step
 
 
-def _record_json(record: ExtensionRecord, agreement: bool | None) -> dict:
-    return {
-        "k_before": record.k_before,
-        "k_after": record.k_after,
-        "length": record.length,
-        "method": _METHOD_LABELS[record.method],
-        "metric": record.metric,
-        "tsc_before": record.tsc_before,
-        "tsc_after": record.tsc_after,
-        "radius_c": record.radius_c,
-        "lambda_min": record.lambda_min,
-        "nodes_visited": record.nodes_visited,
-        "candidates_enumerated": record.candidates_enumerated,
-        "fp_bound": record.fp_bound,
-        "jitter_applied": record.jitter_applied,
-        "welch_after": {"value": record.welch_after.value, "kind": record.welch_after.kind},
-        "binary_bound_after": {
-            "value": record.binary_bound_after.value,
-            "kind": record.binary_bound_after.kind,
-        },
-        "audit_agreement": agreement,
-    }
+def _entry_json(entry: CompareEntry) -> dict:
+    """One compare entry, its row inlined; an error entry's row reads as null."""
+    obj = {f.name: getattr(entry, f.name) for f in fields(entry)}
+    row = obj.pop("row")
+    obj.update((f.name, getattr(row, f.name, None)) for f in fields(CompareRow))
+    obj["binary_bound"] = _bound_json(obj.pop("bound"))
+    return obj
 
 
-def _chain_csv(report: ChainReport, writer) -> None:
-    writer.writerow(_CHAIN_COLUMNS)
-    for step, (record, agreement) in enumerate(zip(report.records, report.audit), start=1):
-        writer.writerow(
-            [
-                step,
-                record.k_before,
-                record.k_after,
-                record.length,
-                _METHOD_LABELS[record.method],
-                record.metric,
-                record.tsc_before,
-                record.tsc_after,
-                repr(record.radius_c),
-                repr(record.lambda_min),
-                record.nodes_visited,
-                record.candidates_enumerated,
-                _float_cell(record.fp_bound),
-                _flag_cell(record.jitter_applied),
-                record.welch_after.value,
-                record.binary_bound_after.value,
-                record.binary_bound_after.kind,
-                _flag_cell(agreement),
-            ]
-        )
-
-
-def _compare_csv(report: CompareReport, writer) -> None:
-    writer.writerow(_COMPARE_COLUMNS)
-    for entry in report.entries:
-        if entry.error is not None:
-            writer.writerow([entry.path] + [""] * 13 + [entry.error])
-            continue
-        row = entry.row
-        writer.writerow(
-            [
-                entry.path,
-                row.k_after,
-                row.length,
-                row.tsc_before,
-                row.tsc_quant,
-                row.tsc_descent,
-                row.tsc_sd,
-                row.tsc_ml,
-                entry.bound.value,
-                entry.bound.kind,
-                entry.gap_quant,
-                entry.gap_descent,
-                entry.gap_sd,
-                entry.gap_ml,
-                "",
-            ]
-        )
+def _cell(value):
+    """Null -> empty, booleans -> true/false, floats -> repr, else as is."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(float(value))
+    return "" if value is None else value
 
 
 def emit_report(report, fmt: str) -> bytes:
     """Serialize a ChainReport or CompareReport; same input, same bytes.
 
-    CSV columns are fixed (see the README); JSON documents carry a schema
-    tag. Floats use repr, absent values serialize as null/empty.
+    Each row is built once as a JSON object; a CSV row is that object's
+    values in fixed column order (see the README). JSON documents carry a
+    schema tag. Floats use repr, absent values serialize as null/empty.
     """
     if fmt not in ("json", "csv"):
         raise ValueError(f"format must be 'json' or 'csv', got {fmt!r}")
     if isinstance(report, ChainReport):
-        if fmt == "json":
-            doc = {
-                "schema": REPORT_SCHEMA,
-                "kind": "chain",
-                "method": _METHOD_LABELS[report.method],
-                "initial": {"k": report.initial_k, "length": report.initial_length},
-                "steps": [
-                    _record_json(record, agreement)
-                    for record, agreement in zip(report.records, report.audit)
-                ],
-            }
-        else:
-            buffer = io.StringIO()
-            _chain_csv(report, csv.writer(buffer, lineterminator="\n"))
-            return buffer.getvalue().encode("utf-8")
+        steps = list(map(_step_json, report.records, report.audit))
+        doc = {
+            "schema": REPORT_SCHEMA,
+            "kind": "chain",
+            "method": _METHOD_LABELS[report.method],
+            "initial": {"k": report.initial_k, "length": report.initial_length},
+            "steps": steps,
+        }
+        columns = _CHAIN_COLUMNS
+        rows = [dict(step, step=number) for number, step in enumerate(steps, start=1)]
     elif isinstance(report, CompareReport):
-        if fmt == "json":
-            doc = {
-                "schema": REPORT_SCHEMA,
-                "kind": "compare",
-                "entries": [
-                    {
-                        "path": entry.path,
-                        "error": entry.error,
-                        "k_after": entry.row.k_after if entry.row else None,
-                        "length": entry.row.length if entry.row else None,
-                        "tsc_before": entry.row.tsc_before if entry.row else None,
-                        "tsc_quant": entry.row.tsc_quant if entry.row else None,
-                        "tsc_descent": entry.row.tsc_descent if entry.row else None,
-                        "tsc_sd": entry.row.tsc_sd if entry.row else None,
-                        "tsc_ml": entry.row.tsc_ml if entry.row else None,
-                        "binary_bound": (
-                            {"value": entry.bound.value, "kind": entry.bound.kind}
-                            if entry.bound
-                            else None
-                        ),
-                        "gap_quant": entry.gap_quant,
-                        "gap_descent": entry.gap_descent,
-                        "gap_sd": entry.gap_sd,
-                        "gap_ml": entry.gap_ml,
-                    }
-                    for entry in report.entries
-                ],
-            }
-        else:
-            buffer = io.StringIO()
-            _compare_csv(report, csv.writer(buffer, lineterminator="\n"))
-            return buffer.getvalue().encode("utf-8")
+        rows = list(map(_entry_json, report.entries))
+        doc = {"schema": REPORT_SCHEMA, "kind": "compare", "entries": rows}
+        columns = _COMPARE_COLUMNS
     else:
         raise ValueError(f"cannot serialize {type(report).__name__}")
-    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
-    return (text + "\n").encode("utf-8")
+    if fmt == "json":
+        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+        return (text + "\n").encode("utf-8")
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header for header, _, _ in columns)
+    for row in rows:
+        writer.writerow(
+            _cell(row[key] if field is None or row[key] is None else row[key][field])
+            for _, key, field in columns
+        )
+    return buffer.getvalue().encode("utf-8")

@@ -10,7 +10,7 @@ Python ints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -147,6 +147,7 @@ class CorrelationMatrix:
     """
 
     entries: np.ndarray
+    abs_sum: int = field(init=False, repr=False)  # the exact sum |R_ij|
 
     def __post_init__(self):
         a = np.asarray(self.entries)
@@ -171,6 +172,7 @@ class CorrelationMatrix:
             raise ValueError("diagonal must be a constant signature count >= 1")
         a.setflags(write=False)
         object.__setattr__(self, "entries", a)
+        object.__setattr__(self, "abs_sum", magnitude)
 
     @property
     def dim(self) -> int:

@@ -359,7 +359,7 @@ def sphere_search(
     # Each form walked, with the integer map scale * m + offset from a leaf's
     # metric m to its value under that form.
     shapes = [(r, 1, 0)]
-    if floor is not None and floor > 2 and dim * int(np.abs(r).sum()) < INT64_LIMIT:
+    if floor is not None and floor > 2 and dim * matrix.abs_sum < INT64_LIMIT:
         shift = floor - 2
         shapes.insert(0, (r * dim - shift * np.eye(dim, dtype=np.int64), dim, -shift * dim))
     forms, bounds = [], []
@@ -482,10 +482,9 @@ def ml_exhaustive(matrix: CorrelationMatrix, cap: int = DEFAULT_ML_CAP) -> Searc
     if dim > cap:
         raise CapExceeded(f"L={dim} exceeds the exhaustive-search cap of {cap}")
     r = matrix.entries
-    magnitude = sum(map(abs, r.ravel().tolist()))
-    if magnitude >= EXACT_SCAN_LIMIT:
+    if matrix.abs_sum >= EXACT_SCAN_LIMIT:
         raise CapExceeded(
-            f"L={dim}: sum |R_ij| = {magnitude} is not below {EXACT_SCAN_LIMIT}, "
+            f"L={dim}: sum |R_ij| = {matrix.abs_sum} is not below {EXACT_SCAN_LIMIT}, "
             "the bound for an exact float64 scan"
         )
     h = dim // 2

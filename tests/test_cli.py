@@ -98,6 +98,10 @@ class TestExtendCommand:
         assert main(["extend", h4_file, "--method", "quant"]) == 0
         assert "method quant" in capsys.readouterr().out
 
+    def test_descent_prints_its_stand_in_label(self, h4_file, capsys):
+        assert main(["extend", h4_file, "--method", "descent"]) == 0
+        assert "method descent(stand-in)\n" in capsys.readouterr().out
+
 
 class TestChainCommand:
     def test_hadamard_chain(self, tmp_path, capsys):
