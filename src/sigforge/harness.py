@@ -22,13 +22,7 @@ import json
 import os
 from dataclasses import dataclass, fields
 
-from .bounds import (
-    BoundTable,
-    BoundValue,
-    Underloaded,
-    binary_tsc_bound,
-    welch_bound,
-)
+from .bounds import BoundValue, Underloaded, binary_tsc_bound, welch_bound
 from .sigcore import (
     SetFormatError,
     Signature,
@@ -199,11 +193,11 @@ class CompareReport:
     entries: tuple
 
 
-def _bound_after(k_after: int, length: int, table: BoundTable | None) -> BoundValue:
+def _bound_after(k_after: int, length: int) -> BoundValue:
     # Binary bounds are defined for K >= L only; a still-underloaded set
     # gets the plain Welch bound instead.
     if k_after >= length:
-        return binary_tsc_bound(k_after, length, table)
+        return binary_tsc_bound(k_after, length)
     return welch_bound(k_after, length)
 
 
@@ -245,7 +239,6 @@ def extend_once(
     *,
     audit: bool | None = None,
     ml_cap: int | None = None,
-    table: BoundTable | None = None,
 ):
     """Extend a set by one signature with the chosen method.
 
@@ -291,7 +284,7 @@ def extend_once(
         fp_bound=step.fp_bound,
         jitter_applied=step.jitter_applied,
         welch_after=welch_bound(signature_set.k + 1, length),
-        binary_bound_after=_bound_after(signature_set.k + 1, length, table),
+        binary_bound_after=_bound_after(signature_set.k + 1, length),
     )
     return extended, record, agreement
 
@@ -303,7 +296,6 @@ def upscale_chain(
     *,
     audit: bool | None = None,
     ml_cap: int | None = None,
-    table: BoundTable | None = None,
 ) -> ChainReport:
     """Extend one signature at a time until the set holds ``target_k``."""
     if target_k <= initial.k:
@@ -312,9 +304,7 @@ def upscale_chain(
     records = []
     flags = []
     while current.k < target_k:
-        current, record, agreement = extend_once(
-            current, method, audit=audit, ml_cap=ml_cap, table=table
-        )
+        current, record, agreement = extend_once(current, method, audit=audit, ml_cap=ml_cap)
         records.append(record)
         flags.append(agreement)
     return ChainReport(
@@ -356,9 +346,7 @@ def compare_methods(signature_set: SignatureSet, *, ml_cap: int | None = None) -
     )
 
 
-def one_shot_experiment(
-    set_paths, *, ml_cap: int | None = None, table: BoundTable | None = None
-) -> CompareReport:
+def one_shot_experiment(set_paths, *, ml_cap: int | None = None) -> CompareReport:
     """Batch comparison over set files, with TSC-minus-bound gap columns.
 
     Per-file load and validation errors, and a set above the exhaustive
@@ -374,7 +362,7 @@ def one_shot_experiment(
         except (OSError, SetFormatError, ValueError, Underloaded, CapExceeded) as exc:
             entries.append(CompareEntry(path=path, error=str(exc)))
             continue
-        bound = _bound_after(row.k_after, row.length, table)
+        bound = _bound_after(row.k_after, row.length)
         entries.append(
             CompareEntry(
                 path=path,

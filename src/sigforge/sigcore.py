@@ -154,6 +154,8 @@ class CorrelationMatrix:
         if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
             raise ValueError("correlation matrix must be square and non-empty")
         if not np.issubdtype(a.dtype, np.integer):
+            if not np.isfinite(a).all():
+                raise ValueError("correlation matrix entries must be finite")
             rounded = np.rint(a)
             if not np.array_equal(rounded, a):
                 raise ValueError("correlation matrix entries must be integers")

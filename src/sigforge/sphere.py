@@ -7,12 +7,14 @@ eigenvector, which guarantees the true minimizer lies inside the sphere;
 every leaf is re-scored in exact integer arithmetic, so floating point can
 only ever admit extra leaves, never corrupt the argmin.
 
-Two walks share one iterative tree traversal. The default walk enumerates
-the whole ball at a fixed radius. The first-optimum walk, the one the
-extension pipeline runs, visits leaves in tie-break order, starts at a
+Two walks share one iterative tree traversal of the factor of R with its
+indices reversed, which visits leaves in tie-break order, and one exact leaf
+scorer. The default walk enumerates the whole ball at a fixed radius. The
+first-optimum walk, the one the extension pipeline runs, starts at a
 nearest-plane leaf's metric, shrinks the radius after each exact
 improvement, stops at a certified eigenvalue floor, and also prunes with a
-shifted form that ranks sign vectors as R does.
+shifted form that ranks sign vectors as R does; it admits a subset of the
+fixed walk's nodes.
 
 Also provides the exhaustive scan used as the optimality oracle and a plain
 single-bit-flip descent baseline for method comparisons.
@@ -122,7 +124,9 @@ class QDecomposition:
 @dataclass(frozen=True)
 class SearchState:
     """One expanded node: budget and offset seen at ``level`` when the entry
-    was fixed, plus the fixed tail (s_level, ..., s_L)."""
+    was fixed, plus the fixed tail (x_level, ..., x_L) in factor order, where
+    x_i = s_(L+1-i); that is the fixed head (s_1, ..., s_(L+1-level)) read
+    backwards."""
 
     level: int
     delta: float
@@ -135,10 +139,10 @@ class SearchResult:
     """Outcome of one search, with exact integer scoring.
 
     ``candidates`` holds the enumerated (signature, exact metric) pairs in
-    visit order when the search kind retains them (the fixed-radius sphere
-    walk does; the first-optimum walk, the exhaustive and descent oracles do
-    not). ``trace`` holds SearchState nodes when requested. ``radius_c`` is
-    +inf for the unbounded oracles.
+    visit order, which is lexicographic (+1 < -1), when the search kind
+    retains them (the fixed-radius sphere walk does; the first-optimum walk,
+    the exhaustive and descent oracles do not). ``trace`` holds SearchState
+    nodes when requested. ``radius_c`` is +inf for the unbounded oracles.
     """
 
     best: Signature
@@ -149,11 +153,6 @@ class SearchResult:
     ties: int
     candidates: tuple | None = None
     trace: tuple | None = None
-
-
-def _lexkey(chips) -> tuple[int, ...]:
-    # +1 sorts before -1.
-    return tuple(0 if c == 1 else 1 for c in chips)
 
 
 def radius_squared(matrix: CorrelationMatrix, quantized: Signature) -> float:
@@ -238,24 +237,23 @@ def _nearest_plane(rows: list) -> list[int]:
     return path
 
 
-def _walk(forms: list, caps: list, pin_root: bool, on_leaf, trace=None) -> int:
+def _walk(forms: list, caps: list, on_leaf, trace=None) -> int:
     """Iterative depth-first walk of {x : ||U x||^2 <= cap} over the cube,
     in factor order: x_L first, x_1 at the leaves, +1 before -1.
 
     ``forms`` holds one or two (q_diag, rows) pairs over the same index
     order, ``caps`` their caps; a node is admitted only when each form's
-    partial sum is within its cap. The pinned coordinate takes +1 only: x_L
-    when ``pin_root``, else x_1. ``on_leaf(values, caps)`` receives each
-    admitted leaf as a list (x_L, ..., x_1) and returns the caps for the
-    rest of the walk, or None to stop. ``trace``, when a list, receives one
-    SearchState per admitted node. Returns the number of admitted nodes.
+    partial sum is within its cap. The leaf coordinate x_1 takes +1 only.
+    ``on_leaf(values, caps)`` receives each admitted leaf as a list
+    (x_L, ..., x_1) and returns the caps for the rest of the walk, or None
+    to stop. ``trace``, when a list, receives one SearchState per admitted
+    node. Returns the number of admitted nodes.
     """
     q_diag, rows = forms[0]
     two = len(forms) == 2
     q_diag2, rows2 = forms[-1]
     cap, cap2 = caps[0], caps[-1]
     n = len(q_diag)
-    pinned = n - 1 if pin_root else 0
     path: list[int] = []
     used, used2 = [0.0] * n, [0.0] * n
     delta, delta2 = [0.0] * n, [0.0] * n
@@ -271,7 +269,7 @@ def _walk(forms: list, caps: list, pin_root: bool, on_leaf, trace=None) -> int:
                 return nodes
             path.pop()
             continue
-        todo[level] = -1 if value == 1 and level != pinned else 0
+        todo[level] = -1 if value == 1 and level else 0
         offset = delta[level] + value
         spent = used[level] + q_diag[level] * offset * offset
         if spent > cap:
@@ -321,28 +319,29 @@ def sphere_search(
     """Depth-first search of {s : s_L = +1, s^T R s <= radius}.
 
     The last coordinate is pinned to +1 (negating s preserves the metric, so
-    nothing is lost). Leaves are re-scored exactly and the minimum-metric one
-    is returned, ties broken lexicographically with +1 < -1.
+    nothing is lost). R is factored with its indices reversed, so s_1 is
+    fixed first and s_L last, +1 before -1, and leaves arrive in tie-break
+    order: lexicographic with +1 < -1. Every leaf is re-scored exactly, and
+    the first leaf at the minimal metric is returned.
 
-    Default (fixed-radius) walk: coordinates are fixed from s_L down to s_1,
-    +1 before -1, the radius fixed for the whole walk, and every candidate in
-    the ball is enumerated. ``collect_trace`` records a SearchState per
-    expanded node.
+    Default (fixed-radius) walk: the radius stays fixed for the whole walk
+    and every candidate in the ball is enumerated. ``collect_trace`` records
+    a SearchState per expanded node.
 
-    ``first_optimum`` walk: R is factored with its indices reversed, so s_1
-    is fixed first and s_L last, and leaves arrive in tie-break order. The
-    radius starts at the smallest of ``radius`` and the exact metrics of the
-    nearest-plane leaves of the walked forms, which seed no answer. After
-    each exact improvement m it shrinks to m - 1; metrics are integers, so
-    the first leaf reaching the final metric is the lexicographically first
-    optimum. With ``lambda_min`` the walk also stops at the first leaf
-    meeting b = ``certified_floor(matrix, lambda_min)``, and when b > 2 and
-    L * sum |R_ij| < 2^63 it also bounds A = L*R - (b-2)*I. Every antipodal
-    s has s^T s = L, so s^T A s = L * s^T R s - (b-2) * L ranks leaves as R
-    does, and b's certificate L*R - (b-1)*I > 0 makes A > I; a node must fit
-    both caps, so the walk admits a subset of the plain walk's nodes. It
-    keeps no candidates and takes no trace; ``candidates_enumerated`` counts
-    the leaves reached, ``ties`` is 1, and neither counts the dives.
+    ``first_optimum`` walk: the radius starts at the smallest of ``radius``
+    and the exact metrics of the nearest-plane leaves of the walked forms,
+    which seed no answer. After each exact improvement m it shrinks to
+    m - 1; metrics are integers, so the first leaf reaching the final metric
+    is the lexicographically first optimum. With ``lambda_min`` the walk
+    also stops at the first leaf meeting b = ``certified_floor(matrix,
+    lambda_min)``, and when b > 2 and L * sum |R_ij| < 2^63 it also bounds
+    A = L*R - (b-2)*I. Every antipodal s has s^T s = L, so s^T A s =
+    L * s^T R s - (b-2) * L ranks leaves as R does, and b's certificate
+    L*R - (b-1)*I > 0 makes A > I; a node must fit both caps, so the walk
+    admits a subset of the plain walk's nodes, which are in turn a subset of
+    the fixed-radius walk's. It keeps no candidates and takes no trace;
+    ``candidates_enumerated`` counts the leaves reached, ``ties`` is 1, and
+    neither counts the dives.
 
     Raises EmptySphere when no candidate lies inside; with the quantized
     eigenvector radius that cannot happen.
@@ -354,7 +353,7 @@ def sphere_search(
     if not first_optimum and lambda_min is not None:
         raise ValueError("lambda_min is used by the first-optimum walk only")
     dim = matrix.dim
-    r = matrix.entries[::-1, ::-1] if first_optimum else matrix.entries
+    r = matrix.entries[::-1, ::-1]
     floor = certified_floor(matrix, lambda_min) if lambda_min is not None else None
     # Each form walked, with the integer map scale * m + offset from a leaf's
     # metric m to its value under that form.
@@ -383,76 +382,51 @@ def sphere_search(
             for scale, offset, jitter, abs_slack in bounds
         ]
 
+    def score(values) -> int:
+        chips = np.array(values, dtype=np.int64)
+        return int(chips @ matrix.entries @ chips)
+
+    start = float(radius)
     if first_optimum:
-
-        def score(values) -> int:
-            chips = np.array(values, dtype=np.int64)
-            return int(chips @ matrix.entries @ chips)
-
         dives = [_nearest_plane(rows) for _, rows in forms]
         start = min(score(leaf if leaf[-1] == 1 else [-x for x in leaf]) for leaf in dives)
         if radius < start:
             start = math.floor(radius)
 
-        best_metric: int | None = None
-        best_chips: list | None = None
-        leaves = 0
-
-        def improve(values, caps):
-            nonlocal best_metric, best_chips, leaves
-            leaves += 1
-            exact = score(values)
-            if best_metric is not None and exact >= best_metric:
-                return caps
-            best_metric, best_chips = exact, values
-            if floor is not None and exact <= floor:
-                return None
-            return caps_for(exact - 1)
-
-        nodes = _walk(forms, caps_for(start), False, improve)
-        if best_metric is None:
-            raise EmptySphere(
-                f"no antipodal point within squared radius {radius!r} (L={dim})"
-            )
-        return SearchResult(
-            best=Signature(tuple(best_chips)),
-            best_metric=best_metric,
-            candidates_enumerated=leaves,
-            nodes_visited=nodes,
-            radius_c=float(radius),
-            ties=1,
-        )
-
-    candidates: list[tuple[Signature, int]] = []
+    candidates: list[tuple[Signature, int]] | None = None if first_optimum else []
     trace: list[SearchState] | None = [] if collect_trace else None
-    best: tuple[int, tuple[int, ...], Signature] | None = None
+    best_metric: int | None = None
+    best_chips: list | None = None
+    leaves = 0
 
-    def collect(values, caps):
-        nonlocal best
-        sig = Signature(tuple(reversed(values)))
-        exact = quadratic_metric(matrix, sig)
-        candidates.append((sig, exact))
-        key = (exact, _lexkey(sig))
-        if best is None or key < (best[0], best[1]):
-            best = (exact, key[1], sig)
-        return caps
+    def on_leaf(values, caps):
+        # Leaves arrive in tie-break order, so an equal metric never wins.
+        nonlocal best_metric, best_chips, leaves
+        leaves += 1
+        exact = score(values)
+        if candidates is not None:
+            candidates.append((Signature(tuple(values)), exact))
+        if best_metric is not None and exact >= best_metric:
+            return caps
+        best_metric, best_chips = exact, values
+        if floor is not None and exact <= floor:
+            return None
+        return caps if candidates is not None else caps_for(exact - 1)
 
-    nodes = _walk(forms, caps_for(float(radius)), True, collect, trace)
-
-    if best is None:
+    nodes = _walk(forms, caps_for(start), on_leaf, trace)
+    if best_metric is None:
         raise EmptySphere(
             f"no antipodal point within squared radius {radius!r} (L={dim})"
         )
-    ties = sum(1 for _, m in candidates if m == best[0])
     return SearchResult(
-        best=best[2],
-        best_metric=best[0],
-        candidates_enumerated=len(candidates),
+        best=Signature(tuple(best_chips)),
+        best_metric=best_metric,
+        candidates_enumerated=leaves,
         nodes_visited=nodes,
         radius_c=float(radius),
-        ties=ties,
-        candidates=tuple(candidates),
-        trace=tuple(trace) if trace is not None else None,
+        ties=1 if candidates is None else sum(1 for _, m in candidates if m == best_metric),
+        candidates=None if candidates is None else tuple(candidates),
+        trace=None if trace is None else tuple(trace),
     )
 
 
@@ -567,8 +541,9 @@ class StepAnalysis:
     """What one extension step knows before any search.
 
     R, its minimum eigenvalue, the sign-quantized eigenvector and its exact
-    metric (the search radius), and from the forward Cholesky factor of R
-    the operation bound and whether jitter was needed.
+    metric (the search radius), and from the Cholesky factor of R with its
+    indices reversed, the factor both sphere walks traverse, the operation
+    bound and whether jitter was needed.
     """
 
     matrix: CorrelationMatrix
@@ -596,7 +571,7 @@ def analyse_step(signature_set: SignatureSet) -> StepAnalysis:
     quantized = quantize_sign(pair.vector)
     quant_metric = quadratic_metric(matrix, quantized)
 
-    factor = cholesky(matrix)
+    factor = cholesky(matrix.entries[::-1, ::-1])
     # Reciprocal of the smallest squared diagonal caps the per-axis reach.
     diag = np.diag(factor.entries)
     scale = 1.0 / float((diag * diag).min())

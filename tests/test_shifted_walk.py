@@ -39,22 +39,23 @@ def parse(rows):
 
 
 def walks(matrix):
-    """The floored and the unfloored first-optimum walk from the step's radius."""
+    """The floored and the unfloored first-optimum walk and the fixed-radius
+    walk from the step's radius."""
     pair = min_eigenpair(matrix)
     radius = radius_squared(matrix, quantize_sign(pair.vector))
     floored = sphere_search(matrix, radius, first_optimum=True, lambda_min=pair.value)
     unfloored = sphere_search(matrix, radius, first_optimum=True)
-    return floored, unfloored
+    return floored, unfloored, sphere_search(matrix, radius)
 
 
 class TestBothBoundsNest:
     def test_pinned_instance_where_the_shift_alone_is_not_nested(self, monkeypatch):
         matrix = correlation_matrix(parse(NESTING_ROWS))
         assert certified_floor(matrix, min_eigenpair(matrix).value) > 2
-        floored, unfloored = walks(matrix)
+        floored, unfloored, fixed = walks(matrix)
         scan = ml_exhaustive(matrix)
         assert (floored.best, floored.best_metric) == (scan.best, scan.best_metric)
-        assert floored.nodes_visited <= unfloored.nodes_visited
+        assert floored.nodes_visited <= unfloored.nodes_visited <= fixed.nodes_visited
 
         # The shifted form is walked first; admitting against it alone is
         # what the plain bound is there to prevent.
@@ -62,7 +63,7 @@ class TestBothBoundsNest:
         monkeypatch.setattr(
             sigforge.sphere, "_walk", lambda forms, caps, *rest: walk(forms[:1], caps, *rest)
         )
-        shifted_only, _ = walks(matrix)
+        shifted_only, _, _ = walks(matrix)
         assert shifted_only.nodes_visited > unfloored.nodes_visited
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -77,11 +78,11 @@ class TestBothBoundsNest:
     )
     def test_overloaded_sets(self, rows):
         matrix = correlation_matrix(SignatureSet.from_rows(rows))
-        floored, unfloored = walks(matrix)
+        floored, unfloored, fixed = walks(matrix)
         scan = ml_exhaustive(matrix)
         assert (floored.best, floored.best_metric) == (scan.best, scan.best_metric)
         assert (unfloored.best, unfloored.best_metric) == (scan.best, scan.best_metric)
-        assert floored.nodes_visited <= unfloored.nodes_visited
+        assert floored.nodes_visited <= unfloored.nodes_visited <= fixed.nodes_visited
 
 
 class TestDerivedMatrices:

@@ -138,6 +138,9 @@ class TestCorrelationMatrix:
             CorrelationMatrix(entries=np.array([[1, 2], [3, 1]]))  # not symmetric
         with pytest.raises(ValueError):
             CorrelationMatrix(entries=np.array([[1, 0], [0, 2]]))  # diag not constant
+        for bad in (np.inf, -np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                CorrelationMatrix(entries=np.array([[bad]]))
 
     def test_entries_read_only(self):
         m = correlation_matrix(hadamard_set(4))

@@ -195,7 +195,8 @@ class TestSphereSearch:
         rng = np.random.default_rng(48)
         m = random_correlation(rng, 8)
         result = sphere_search(m, paper_radius(m), collect_trace=True)
-        factor = cholesky(m)
+        # The walk runs on the factor of R with its indices reversed.
+        factor = cholesky(m.entries[::-1, ::-1])
         q = q_decomposition(factor)
         budgets = {}
         for state in result.trace:
