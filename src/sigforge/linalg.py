@@ -10,6 +10,7 @@ results from the floating point done in this module.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,13 +142,21 @@ def min_eigenpair(matrix: CorrelationMatrix) -> EigenPair:
     mirrored into columns p and q. For j outside {p, q} the column update
     rounds the same products and sums as the row update (neither CPython
     nor numpy fuses them), so the matrix stays exactly symmetric and every
-    entry is bit-identical to a two-sided numpy rotation. The eigenvector
-    matrix is kept transposed, one list per column.
+    entry is bit-identical to a two-sided numpy rotation.
+
+    No eigenvector matrix is formed. Each applied rotation (p, q, c, s) is
+    logged, and after convergence the log is replayed last to first onto
+    the unit vector e_idx of the smallest diagonal entry: the same product
+    of rotations as column idx of V = J_1 ... J_m, associated the other way
+    round, so it agrees with that column to rounding at O(1) per rotation.
+    The log holds at most one rotation per off-diagonal pair per sweep,
+    O(sweeps * L^2) entries in compact arrays.
     """
     a = matrix.entries.astype(np.float64)
     n = matrix.dim
     off_tol = JACOBI_OFF_TOL * float(np.sqrt((a * a).sum()))
-    a, vecs = a.tolist(), np.eye(n).tolist()
+    a = a.tolist()
+    rot_p, rot_q, rot_c, rot_s = array("i"), array("i"), array("d"), array("d")
 
     converged = False
     for _ in range(JACOBI_SWEEP_CAP):
@@ -176,9 +185,10 @@ def min_eigenpair(matrix: CorrelationMatrix) -> EigenPair:
                 a[p], a[q] = new_p, new_q
                 for row, x, y in zip(a, new_p, new_q):
                     row[p], row[q] = x, y
-                vec_p, vec_q = vecs[p], vecs[q]
-                vecs[p] = [c * x - s * y for x, y in zip(vec_p, vec_q)]
-                vecs[q] = [s * x + c * y for x, y in zip(vec_p, vec_q)]
+                rot_p.append(p)
+                rot_q.append(q)
+                rot_c.append(c)
+                rot_s.append(s)
     a = np.array(a)
     if not converged and _offdiag_norm(a) > off_tol:
         raise EigenFailure(
@@ -189,7 +199,11 @@ def min_eigenpair(matrix: CorrelationMatrix) -> EigenPair:
 
     idx = int(np.argmin(np.diag(a)))
     value = float(a[idx, idx])
-    vector = np.array(vecs[idx])
+    v = [0.0] * n
+    v[idx] = 1.0
+    for p, q, c, s in zip(reversed(rot_p), reversed(rot_q), reversed(rot_c), reversed(rot_s)):
+        v[p], v[q] = c * v[p] + s * v[q], c * v[q] - s * v[p]
+    vector = np.array(v)
     vector /= math.sqrt(float(vector @ vector))
 
     residual = float(np.sqrt(((matrix.entries @ vector - value * vector) ** 2).sum()))

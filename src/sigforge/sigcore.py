@@ -10,6 +10,7 @@ Python ints.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -153,7 +154,14 @@ class CorrelationMatrix:
         a = np.asarray(self.entries)
         if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
             raise ValueError("correlation matrix must be square and non-empty")
-        if not np.issubdtype(a.dtype, np.integer):
+        if a.dtype == object:
+            # Python ints of any size stay exact for the int64 guard below;
+            # other real numbers take the float checks.
+            if not all(isinstance(x, numbers.Real) for x in a.flat):
+                raise ValueError("correlation matrix entries must be real numbers")
+            if not all(isinstance(x, numbers.Integral) for x in a.flat):
+                a = a.astype(np.float64)
+        if a.dtype != object and not np.issubdtype(a.dtype, np.integer):
             if not np.isfinite(a).all():
                 raise ValueError("correlation matrix entries must be finite")
             rounded = np.rint(a)

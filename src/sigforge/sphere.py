@@ -315,6 +315,7 @@ def sphere_search(
     collect_trace: bool = False,
     first_optimum: bool = False,
     lambda_min: float | None = None,
+    factor: CholeskyFactor | None = None,
 ) -> SearchResult:
     """Depth-first search of {s : s_L = +1, s^T R s <= radius}.
 
@@ -343,6 +344,10 @@ def sphere_search(
     ``candidates_enumerated`` counts the leaves reached, ``ties`` is 1, and
     neither counts the dives.
 
+    ``factor``, the Cholesky factor of R with its indices reversed (as
+    ``StepAnalysis.factor`` holds it), only saves factoring R again; the
+    result is the same with or without it.
+
     Raises EmptySphere when no candidate lies inside; with the quantized
     eigenvector radius that cannot happen.
     """
@@ -353,25 +358,29 @@ def sphere_search(
     if not first_optimum and lambda_min is not None:
         raise ValueError("lambda_min is used by the first-optimum walk only")
     dim = matrix.dim
+    if factor is not None and factor.dim != dim:
+        raise ValueError(f"factor is {factor.dim} x {factor.dim}, R is {dim} x {dim}")
     r = matrix.entries[::-1, ::-1]
     floor = certified_floor(matrix, lambda_min) if lambda_min is not None else None
     # Each form walked, with the integer map scale * m + offset from a leaf's
-    # metric m to its value under that form.
-    shapes = [(r, 1, 0)]
+    # metric m to its value under that form, and its factor when known.
+    shapes = [(r, 1, 0, factor)]
     if floor is not None and floor > 2 and dim * matrix.abs_sum < INT64_LIMIT:
         shift = floor - 2
-        shapes.insert(0, (r * dim - shift * np.eye(dim, dtype=np.int64), dim, -shift * dim))
+        shapes.insert(
+            0, (r * dim - shift * np.eye(dim, dtype=np.int64), dim, -shift * dim, None)
+        )
     forms, bounds = [], []
-    for entries, scale, offset in shapes:
-        factor = cholesky(entries)
-        q = q_decomposition(factor)
+    for entries, scale, offset, known in shapes:
+        u = known if known is not None else cholesky(entries)
+        q = q_decomposition(u)
         # rows[i] holds q_ij for j = L-1 down to i+1, aligned with the walk's path.
         rows = [q.q_upper[i, i + 1 :][::-1].tolist() for i in range(dim)]
         forms.append((q.q_diag.tolist(), rows))
         # Jitter shifts every float form value up by jitter * L; widen the
         # budget by the same amount so exact-metric membership is preserved.
         abs_slack = BUDGET_ABS_EPS * float(np.abs(entries).max()) * dim
-        bounds.append((scale, offset, factor.jitter * dim, abs_slack))
+        bounds.append((scale, offset, u.jitter * dim, abs_slack))
 
     def caps_for(metric) -> list[float]:
         # The first-optimum walk passes integer metrics, so scale * m + offset
@@ -541,8 +550,8 @@ class StepAnalysis:
     """What one extension step knows before any search.
 
     R, its minimum eigenvalue, the sign-quantized eigenvector and its exact
-    metric (the search radius), and from the Cholesky factor of R with its
-    indices reversed, the factor both sphere walks traverse, the operation
+    metric (the search radius), the Cholesky factor of R with its indices
+    reversed, which both sphere walks traverse, and from it the operation
     bound and whether jitter was needed.
     """
 
@@ -550,17 +559,26 @@ class StepAnalysis:
     lambda_min: float
     quantized: Signature
     quant_metric: int
+    factor: CholeskyFactor
     fp_bound: float | None
-    jitter_applied: bool
 
     @property
     def radius(self) -> float:
         return float(self.quant_metric)
 
+    @property
+    def jitter_applied(self) -> bool:
+        return self.factor.jitter > 0.0
+
     def first_optimum(self) -> SearchResult:
-        """The optimal extension by the first-optimum sphere walk."""
+        """The optimal extension by the first-optimum sphere walk, on the
+        analysed factor."""
         return sphere_search(
-            self.matrix, self.radius, first_optimum=True, lambda_min=self.lambda_min
+            self.matrix,
+            self.radius,
+            first_optimum=True,
+            lambda_min=self.lambda_min,
+            factor=self.factor,
         )
 
 
@@ -584,6 +602,6 @@ def analyse_step(signature_set: SignatureSet) -> StepAnalysis:
         lambda_min=pair.value,
         quantized=quantized,
         quant_metric=quant_metric,
+        factor=factor,
         fp_bound=fp_bound,
-        jitter_applied=factor.jitter > 0.0,
     )

@@ -1,6 +1,7 @@
 """First-optimum sphere walk: same answer as the scan, certified floor,
 iterative depth, and node counts on the reference chain."""
 
+import dataclasses
 import sys
 
 import numpy as np
@@ -8,10 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sigforge.sphere
 from sigforge import (
     CorrelationMatrix,
     SignatureSet,
     certified_floor,
+    cholesky,
     correlation_matrix,
     hadamard_set,
     min_eigenpair,
@@ -21,6 +24,7 @@ from sigforge import (
     sphere_search,
     upscale_chain,
 )
+from sigforge.sphere import analyse_step
 
 # Nodes the fixed-radius walk visited on the Hadamard 16 -> 32 chain when it
 # still factored R in forward index order; the first-optimum pipeline has to
@@ -65,6 +69,10 @@ def underloaded_sets(draw):
     return SignatureSet.from_rows(draw(rows_of(length, draw(st.integers(1, length - 1)))))
 
 
+def fields_of(result):
+    return tuple(getattr(result, f.name) for f in dataclasses.fields(result))
+
+
 def assert_first_optimum_is_exact(signature_set):
     matrix = correlation_matrix(signature_set)
     pair = min_eigenpair(matrix)
@@ -83,6 +91,13 @@ def assert_first_optimum_is_exact(signature_set):
     assert unfloored.nodes_visited <= fixed.nodes_visited
     floor = certified_floor(matrix, pair.value)
     assert floor is None or floor <= scan.best_metric
+    # A given factor of the reversed R only skips factoring it again, in
+    # every mode and through the pipeline, which hands over the analysed one.
+    factor = cholesky(matrix.entries[::-1, ::-1])
+    modes = ({"first_optimum": True, "lambda_min": pair.value}, {"first_optimum": True}, {})
+    for result, mode in zip((first, unfloored, fixed), modes):
+        assert fields_of(sphere_search(matrix, radius, factor=factor, **mode)) == fields_of(result)
+    assert fields_of(analyse_step(signature_set).first_optimum()) == fields_of(first)
 
 
 class TestSameAnswerAsScan:
@@ -151,6 +166,8 @@ class TestIterativeWalk:
             sphere_search(m, 16.0, first_optimum=True, collect_trace=True)
         with pytest.raises(ValueError):
             sphere_search(m, 16.0, lambda_min=4.0)
+        with pytest.raises(ValueError, match="factor"):
+            sphere_search(m, 16.0, factor=cholesky(correlation_matrix(hadamard_set(8))))
 
 
 @pytest.fixture(scope="module")
@@ -168,6 +185,21 @@ class TestReferenceChain:
     def test_chain_nodes_below_fixed_radius_walk(self, reference_chain):
         total = sum(record.nodes_visited for record in reference_chain.records)
         assert total < FIXED_RADIUS_CHAIN_NODES
+
+    def test_two_factorizations_per_step(self, monkeypatch):
+        # One of R (in the step analysis, reused by the walk) and one of the
+        # shifted form, which every step of this chain walks (its floor is 256).
+        calls = []
+        original = sigforge.sphere.cholesky
+
+        def counted(entries):
+            calls.append(entries.shape)
+            return original(entries)
+
+        monkeypatch.setattr(sigforge.sphere, "cholesky", counted)
+        chain = upscale_chain(hadamard_set(16), 32, "sd", audit=False)
+        assert len(chain.records) == 16
+        assert len(calls) == 32
 
     def test_floor_is_certified_on_every_step(self, reference_chain):
         final = reference_chain.final_set

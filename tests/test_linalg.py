@@ -1,5 +1,6 @@
 """Hand-rolled Cholesky and Jacobi kernels against numpy oracles, and the
-list-based Jacobi against the per-rotation numpy kernel it replaced."""
+list-based Jacobi, which replays its rotations onto one column, against the
+per-rotation numpy kernel that formed the whole eigenvector matrix."""
 
 import jacobi_reference
 import numpy as np
@@ -173,11 +174,21 @@ def underloaded_sets(draw):
     return SignatureSet.from_rows(draw(rows_of(length, draw(st.integers(1, length - 1)))))
 
 
+# The replayed column is the same product of rotations as the reference's
+# eigenvector column, associated the other way round: equal to rounding.
+VECTOR_TOL = 1e-12
+
+
 def assert_matches_reference(signature_set):
     m = correlation_matrix(signature_set)
     pair, reference = min_eigenpair(m), jacobi_reference.min_eigenpair(m)
     assert pair.value == reference.value
-    assert np.array_equal(pair.vector, reference.vector)
+    assert np.abs(pair.vector - reference.vector).max() <= VECTOR_TOL
+    # Signs may differ only at components that are zero up to rounding.
+    clear = np.abs(reference.vector) > VECTOR_TOL
+    assert tuple(np.array(quantize_sign(pair.vector))[clear]) == tuple(
+        np.array(quantize_sign(reference.vector))[clear]
+    )
 
 
 @pytest.fixture(scope="module")
@@ -187,7 +198,8 @@ def reference_chain_sets():
 
 
 class TestBitIdentity:
-    """The list-based sweep returns the exact floats of the numpy rotation."""
+    """The list-based sweep returns the numpy rotation's eigenvalue bit for
+    bit, and its eigenvector and quantized signs up to rounding."""
 
     @PROPERTY_SETTINGS
     @given(random_sets())

@@ -141,6 +141,18 @@ class TestCorrelationMatrix:
         for bad in (np.inf, -np.inf):
             with pytest.raises(ValueError, match="finite"):
                 CorrelationMatrix(entries=np.array([[bad]]))
+        # Object arrays: Python ints stay exact for the int64 guard, other
+        # numbers take the float checks; none escapes as a TypeError.
+        huge = np.array([[2**70]])
+        assert huge.dtype == object
+        with pytest.raises(ValueError, match="not below"):
+            CorrelationMatrix(entries=huge)
+        with pytest.raises(ValueError, match="integers"):
+            CorrelationMatrix(entries=np.array([[1.5]], dtype=object))
+        small = CorrelationMatrix(entries=np.array([[3, -1], [-1, 3]], dtype=object))
+        assert small.entries.dtype == np.int64
+        assert small.entries.tolist() == [[3, -1], [-1, 3]]
+        assert small.abs_sum == 8
 
     def test_entries_read_only(self):
         m = correlation_matrix(hadamard_set(4))
