@@ -89,9 +89,14 @@ class BoundTable:
         return self.cases.get((k % 4, length % 4))
 
 
+def _is_integer(raw) -> bool:
+    return isinstance(raw, int) and not isinstance(raw, bool)
+
+
 def _parse_coeff(raw) -> Fraction:
-    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-        raise ValueError(f"coefficient must be a number, got {raw!r}")
+    # JSON admits Infinity and NaN, which have no Fraction.
+    if not (_is_integer(raw) or isinstance(raw, float) and math.isfinite(raw)):
+        raise ValueError(f"coefficient must be a finite number, got {raw!r}")
     return Fraction(raw).limit_denominator(10**6)
 
 
@@ -102,7 +107,7 @@ def _parse_case(record: dict, where: str) -> tuple[tuple[int, int], _Case]:
         raw_terms = record["terms"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"{where}: case record needs k_mod, l_mod, terms") from exc
-    if k_mod not in (0, 1, 2, 3) or l_mod not in (0, 1, 2, 3):
+    if not all(_is_integer(mod) and 0 <= mod < 4 for mod in (k_mod, l_mod)):
         raise ValueError(f"{where}: k_mod and l_mod must be in 0..3")
     if not isinstance(raw_terms, list) or not raw_terms:
         raise ValueError(f"{where}: terms must be a non-empty list")
@@ -111,7 +116,7 @@ def _parse_case(record: dict, where: str) -> tuple[tuple[int, int], _Case]:
         if not isinstance(term, list) or len(term) != 3:
             raise ValueError(f"{where}: each term must be [coeff, k_power, l_power]")
         coeff, k_pow, l_pow = term
-        if not isinstance(k_pow, int) or not isinstance(l_pow, int) or k_pow < 0 or l_pow < 0:
+        if not (_is_integer(k_pow) and _is_integer(l_pow)) or k_pow < 0 or l_pow < 0:
             raise ValueError(f"{where}: term powers must be non-negative integers")
         terms.append((_parse_coeff(coeff), k_pow, l_pow))
     achievable = bool(record.get("achievable", False))

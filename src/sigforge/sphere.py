@@ -7,14 +7,13 @@ eigenvector, which guarantees the true minimizer lies inside the sphere;
 every leaf is re-scored in exact integer arithmetic, so floating point can
 only ever admit extra leaves, never corrupt the argmin.
 
-Two walks share one iterative tree traversal of the factor of R with its
-indices reversed, which visits leaves in tie-break order, and one exact leaf
-scorer. The default walk enumerates the whole ball at a fixed radius. The
-first-optimum walk, the one the extension pipeline runs, starts at a
-nearest-plane leaf's metric, shrinks the radius after each exact
-improvement, stops at a certified eigenvalue floor, and also prunes with a
-shifted form that ranks sign vectors as R does; it admits a subset of the
-fixed walk's nodes.
+Two walks share one iterative tree traversal of a factor with its indices
+reversed, which visits leaves in tie-break order, and one exact leaf scorer.
+The default walk enumerates the whole ball of R at a fixed radius. The
+first-optimum walk, the one the extension pipeline runs, starts at its
+form's nearest-plane leaf, shrinks the radius after each exact improvement
+and stops at a certified eigenvalue floor. It walks one form: a shifted form
+that ranks sign vectors as R does when the floor certifies it, R otherwise.
 
 Also provides the exhaustive scan used as the optimality oracle and a plain
 single-bit-flip descent baseline for method comparisons.
@@ -237,26 +236,21 @@ def _nearest_plane(rows: list) -> list[int]:
     return path
 
 
-def _walk(forms: list, caps: list, on_leaf, trace=None) -> int:
+def _walk(q_diag: list, rows: list, cap: float, on_leaf, trace=None) -> int:
     """Iterative depth-first walk of {x : ||U x||^2 <= cap} over the cube,
     in factor order: x_L first, x_1 at the leaves, +1 before -1.
 
-    ``forms`` holds one or two (q_diag, rows) pairs over the same index
-    order, ``caps`` their caps; a node is admitted only when each form's
-    partial sum is within its cap. The leaf coordinate x_1 takes +1 only.
-    ``on_leaf(values, caps)`` receives each admitted leaf as a list
-    (x_L, ..., x_1) and returns the caps for the rest of the walk, or None
-    to stop. ``trace``, when a list, receives one SearchState per admitted
-    node. Returns the number of admitted nodes.
+    ``q_diag`` and ``rows`` are the form's weighted-square terms as
+    ``sphere_search`` lays them out. The leaf coordinate x_1 takes +1 only.
+    ``on_leaf(values, cap)`` receives each admitted leaf as a list
+    (x_L, ..., x_1) and returns the cap for the rest of the walk, or None to
+    stop. ``trace``, when a list, receives one
+    SearchState per admitted node. Returns the number of admitted nodes.
     """
-    q_diag, rows = forms[0]
-    two = len(forms) == 2
-    q_diag2, rows2 = forms[-1]
-    cap, cap2 = caps[0], caps[-1]
     n = len(q_diag)
     path: list[int] = []
-    used, used2 = [0.0] * n, [0.0] * n
-    delta, delta2 = [0.0] * n, [0.0] * n
+    used = [0.0] * n
+    delta = [0.0] * n
     todo = [0] * n  # next value to try per level; 0 once both are done
     level = n - 1
     todo[level] = 1
@@ -274,14 +268,6 @@ def _walk(forms: list, caps: list, on_leaf, trace=None) -> int:
         spent = used[level] + q_diag[level] * offset * offset
         if spent > cap:
             continue
-        if two:
-            # Computed on first use: often both children fail the first form.
-            if delta2[level] is None:
-                delta2[level] = sum(map(mul, rows2[level], path))
-            offset = delta2[level] + value
-            spent2 = used2[level] + q_diag2[level] * offset * offset
-            if spent2 > cap2:
-                continue
         nodes += 1
         if trace is not None:
             trace.append(
@@ -293,18 +279,14 @@ def _walk(forms: list, caps: list, on_leaf, trace=None) -> int:
                 )
             )
         if level == 0:
-            caps = on_leaf(path + [value], caps)
-            if caps is None:
+            cap = on_leaf(path + [value], cap)
+            if cap is None:
                 return nodes
-            cap, cap2 = caps[0], caps[-1]
             continue
         path.append(value)
         level -= 1
         used[level] = spent
         delta[level] = sum(map(mul, rows[level], path))
-        if two:
-            used2[level] = spent2
-            delta2[level] = None
         todo[level] = 1
 
 
@@ -329,24 +311,24 @@ def sphere_search(
     and every candidate in the ball is enumerated. ``collect_trace`` records
     a SearchState per expanded node.
 
-    ``first_optimum`` walk: the radius starts at the smallest of ``radius``
-    and the exact metrics of the nearest-plane leaves of the walked forms,
-    which seed no answer. After each exact improvement m it shrinks to
-    m - 1; metrics are integers, so the first leaf reaching the final metric
-    is the lexicographically first optimum. With ``lambda_min`` the walk
-    also stops at the first leaf meeting b = ``certified_floor(matrix,
-    lambda_min)``, and when b > 2 and L * sum |R_ij| < 2^63 it also bounds
-    A = L*R - (b-2)*I. Every antipodal s has s^T s = L, so s^T A s =
+    ``first_optimum`` walk: the radius starts at the smaller of ``radius``
+    and the exact metric of the walked form's nearest-plane leaf, which
+    seeds no answer. After each exact improvement m it shrinks to m - 1;
+    metrics are integers, so the first leaf reaching the final metric is the
+    lexicographically first optimum. With ``lambda_min`` the walk also stops
+    at the first leaf meeting b = ``certified_floor(matrix, lambda_min)``,
+    and when b > 2 and L * sum |R_ij| < 2^63 it walks A = L*R - (b-2)*I
+    instead of R. Every antipodal s has s^T s = L, so s^T A s =
     L * s^T R s - (b-2) * L ranks leaves as R does, and b's certificate
-    L*R - (b-1)*I > 0 makes A > I; a node must fit both caps, so the walk
-    admits a subset of the plain walk's nodes, which are in turn a subset of
-    the fixed-radius walk's. It keeps no candidates and takes no trace;
+    L*R - (b-1)*I > 0 makes A > I. A's ball is not nested in R's, so a
+    floored walk can visit more nodes than the unfloored one; the answer is
+    the same. It keeps no candidates and takes no trace;
     ``candidates_enumerated`` counts the leaves reached, ``ties`` is 1, and
-    neither counts the dives.
+    neither counts the dive.
 
     ``factor``, the Cholesky factor of R with its indices reversed (as
-    ``StepAnalysis.factor`` holds it), only saves factoring R again; the
-    result is the same with or without it.
+    ``StepAnalysis.factor`` holds it), only saves factoring R again when R
+    is the walked form; the result is the same with or without it.
 
     Raises EmptySphere when no candidate lies inside; with the quantized
     eigenvector radius that cannot happen.
@@ -362,34 +344,29 @@ def sphere_search(
         raise ValueError(f"factor is {factor.dim} x {factor.dim}, R is {dim} x {dim}")
     r = matrix.entries[::-1, ::-1]
     floor = certified_floor(matrix, lambda_min) if lambda_min is not None else None
-    # Each form walked, with the integer map scale * m + offset from a leaf's
-    # metric m to its value under that form, and its factor when known.
-    shapes = [(r, 1, 0, factor)]
+    # The walked form, with the integer map scale * m + offset from a leaf's
+    # metric m to its value under that form.
     if floor is not None and floor > 2 and dim * matrix.abs_sum < INT64_LIMIT:
         shift = floor - 2
-        shapes.insert(
-            0, (r * dim - shift * np.eye(dim, dtype=np.int64), dim, -shift * dim, None)
-        )
-    forms, bounds = [], []
-    for entries, scale, offset, known in shapes:
-        u = known if known is not None else cholesky(entries)
-        q = q_decomposition(u)
-        # rows[i] holds q_ij for j = L-1 down to i+1, aligned with the walk's path.
-        rows = [q.q_upper[i, i + 1 :][::-1].tolist() for i in range(dim)]
-        forms.append((q.q_diag.tolist(), rows))
-        # Jitter shifts every float form value up by jitter * L; widen the
-        # budget by the same amount so exact-metric membership is preserved.
-        abs_slack = BUDGET_ABS_EPS * float(np.abs(entries).max()) * dim
-        bounds.append((scale, offset, u.jitter * dim, abs_slack))
+        entries = r * dim - shift * np.eye(dim, dtype=np.int64)
+        scale, offset, u = dim, -shift * dim, cholesky(entries)
+    else:
+        entries, scale, offset = r, 1, 0
+        u = factor if factor is not None else cholesky(r)
+    q = q_decomposition(u)
+    q_diag = q.q_diag.tolist()
+    # rows[i] holds q_ij for j = L-1 down to i+1, aligned with the walk's path.
+    rows = [q.q_upper[i, i + 1 :][::-1].tolist() for i in range(dim)]
+    # Jitter shifts every float form value up by jitter * L; widen the budget
+    # by the same amount so exact-metric membership is preserved.
+    jitter = u.jitter * dim
+    abs_slack = BUDGET_ABS_EPS * float(np.abs(entries).max()) * dim
 
-    def caps_for(metric) -> list[float]:
+    def cap_for(metric) -> float:
         # The first-optimum walk passes integer metrics, so scale * m + offset
         # is exact before it meets a float: the shifted form's value can be
         # far smaller than either term.
-        return [
-            (scale * metric + offset + jitter) * (1.0 + RADIUS_EPS) + abs_slack
-            for scale, offset, jitter, abs_slack in bounds
-        ]
+        return (scale * metric + offset + jitter) * (1.0 + RADIUS_EPS) + abs_slack
 
     def score(values) -> int:
         chips = np.array(values, dtype=np.int64)
@@ -397,8 +374,8 @@ def sphere_search(
 
     start = float(radius)
     if first_optimum:
-        dives = [_nearest_plane(rows) for _, rows in forms]
-        start = min(score(leaf if leaf[-1] == 1 else [-x for x in leaf]) for leaf in dives)
+        dive = _nearest_plane(rows)
+        start = score(dive if dive[-1] == 1 else [-x for x in dive])
         if radius < start:
             start = math.floor(radius)
 
@@ -408,7 +385,7 @@ def sphere_search(
     best_chips: list | None = None
     leaves = 0
 
-    def on_leaf(values, caps):
+    def on_leaf(values, cap):
         # Leaves arrive in tie-break order, so an equal metric never wins.
         nonlocal best_metric, best_chips, leaves
         leaves += 1
@@ -416,13 +393,13 @@ def sphere_search(
         if candidates is not None:
             candidates.append((Signature(tuple(values)), exact))
         if best_metric is not None and exact >= best_metric:
-            return caps
+            return cap
         best_metric, best_chips = exact, values
         if floor is not None and exact <= floor:
             return None
-        return caps if candidates is not None else caps_for(exact - 1)
+        return cap if candidates is not None else cap_for(exact - 1)
 
-    nodes = _walk(forms, caps_for(start), on_leaf, trace)
+    nodes = _walk(q_diag, rows, cap_for(start), on_leaf, trace)
     if best_metric is None:
         raise EmptySphere(
             f"no antipodal point within squared radius {radius!r} (L={dim})"

@@ -140,6 +140,11 @@ class TestBinaryBound:
                     {"k_mod": 1, "l_mod": 0, "terms": [[2, 0, 0]]},
                 ],
             },
+            # JSON's Infinity and NaN, and booleans where integers belong.
+            {"schema": "sigforge.bound-table/1", "cases": [{"k_mod": 1, "l_mod": 0, "terms": [[float("inf"), 0, 0]]}]},
+            {"schema": "sigforge.bound-table/1", "cases": [{"k_mod": 1, "l_mod": 0, "terms": [[float("nan"), 0, 0]]}]},
+            {"schema": "sigforge.bound-table/1", "cases": [{"k_mod": True, "l_mod": 0, "terms": [[1, 0, 0]]}]},
+            {"schema": "sigforge.bound-table/1", "cases": [{"k_mod": 1, "l_mod": 0, "terms": [[1, True, 0]]}]},
         ],
     )
     def test_malformed_tables_rejected(self, tmp_path, doc):

@@ -1,5 +1,5 @@
-"""The floored first-optimum walk: two bounds, a nearest-plane start, and
-node counts that can only fall."""
+"""The floored first-optimum walk: one shifted form, a nearest-plane start,
+and the scan's answer wherever its node count lands."""
 
 import numpy as np
 import pytest
@@ -20,13 +20,15 @@ from sigforge import (
     sphere_search,
     upscale_chain,
 )
+from sigforge.sphere import analyse_step
 
 # Nodes the walk without the shifted form and the nearest-plane start
 # visited on the Hadamard 16 -> 32 chain.
 PLAIN_FIRST_OPTIMUM_CHAIN_NODES = 88_782
 
-# A K = 13, L = 9 set from a seeded search over K = 1.5L sets: admitting
-# against the shifted form alone visits 47 nodes here, the unfloored walk 41.
+# A K = 13, L = 9 set from a seeded search over K = 1.5L sets where the
+# shifted form's ball is not nested in R's: the floored walk visits 47 nodes
+# here, the unfloored walk 41.
 NESTING_ROWS = (
     "+---++-++", "--++-----", "+-++-+-++", "-+-+++---", "----++--+",
     "+++-+-+--", "+---+----", "+++-+--+-", "+++--++--", "++---+-++",
@@ -49,22 +51,20 @@ def walks(matrix):
 
 
 class TestBothBoundsNest:
-    def test_pinned_instance_where_the_shift_alone_is_not_nested(self, monkeypatch):
+    """The floored walk prunes with the shifted form alone, so only the
+    unfloored walk, on R's own ball, nests in the fixed-radius walk; every
+    walk returns the scan's answer."""
+
+    def test_pinned_instance_where_the_shift_alone_is_not_nested(self):
         matrix = correlation_matrix(parse(NESTING_ROWS))
         assert certified_floor(matrix, min_eigenpair(matrix).value) > 2
         floored, unfloored, fixed = walks(matrix)
         scan = ml_exhaustive(matrix)
         assert (floored.best, floored.best_metric) == (scan.best, scan.best_metric)
-        assert floored.nodes_visited <= unfloored.nodes_visited <= fixed.nodes_visited
-
-        # The shifted form is walked first; admitting against it alone is
-        # what the plain bound is there to prevent.
-        walk = sigforge.sphere._walk
-        monkeypatch.setattr(
-            sigforge.sphere, "_walk", lambda forms, caps, *rest: walk(forms[:1], caps, *rest)
-        )
-        shifted_only, _, _ = walks(matrix)
-        assert shifted_only.nodes_visited > unfloored.nodes_visited
+        assert (unfloored.best, unfloored.best_metric) == (scan.best, scan.best_metric)
+        # The trade of walking one form: more nodes than R's ball here.
+        assert (floored.nodes_visited, unfloored.nodes_visited) == (47, 41)
+        assert unfloored.nodes_visited <= fixed.nodes_visited
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(
@@ -82,7 +82,17 @@ class TestBothBoundsNest:
         scan = ml_exhaustive(matrix)
         assert (floored.best, floored.best_metric) == (scan.best, scan.best_metric)
         assert (unfloored.best, unfloored.best_metric) == (scan.best, scan.best_metric)
-        assert floored.nodes_visited <= unfloored.nodes_visited <= fixed.nodes_visited
+        assert unfloored.nodes_visited <= fixed.nodes_visited
+
+
+def counting_cholesky(monkeypatch):
+    """Record every matrix ``sphere`` factors from here on."""
+    calls = []
+    factor = sigforge.sphere.cholesky
+    monkeypatch.setattr(
+        sigforge.sphere, "cholesky", lambda entries: calls.append(entries) or factor(entries)
+    )
+    return calls
 
 
 class TestDerivedMatrices:
@@ -101,22 +111,32 @@ class TestDerivedMatrices:
         sphere_search(matrix, radius, first_optimum=True, lambda_min=pair.value)
         assert validations == []
 
-    @pytest.mark.parametrize("power, factorizations", [(60, 1), (58, 2)])
-    def test_shifted_form_only_within_int64(self, power, factorizations, monkeypatch):
-        # L * sum |R_ij| is 2^64 for 2^60 I_4 and 2^62 for 2^58 I_4.
+    @pytest.mark.parametrize("power, walked", [(60, 1 << 60), (58, 2)])
+    def test_shifted_form_only_within_int64(self, power, walked, monkeypatch):
+        # L * sum |R_ij| is 2^64 for 2^60 I_4 and 2^62 for 2^58 I_4. The
+        # floor is 4 * 2^power, so the shifted form 4R - (floor - 2) I is 2 I_4;
+        # beyond the int64 guard the walk factors R itself.
         matrix = CorrelationMatrix(np.eye(4, dtype=np.int64) << power)
-        calls = []
-        factor = sigforge.sphere.cholesky
-        monkeypatch.setattr(
-            sigforge.sphere, "cholesky", lambda entries: calls.append(entries) or factor(entries)
-        )
+        calls = counting_cholesky(monkeypatch)
         radius = float(4 << power)
-        walked = sphere_search(
+        walked_result = sphere_search(
             matrix, radius, first_optimum=True, lambda_min=min_eigenpair(matrix).value
         )
-        assert len(calls) == factorizations
+        assert len(calls) == 1
+        assert np.array_equal(calls[0], np.eye(4, dtype=np.int64) * walked)
         fixed = sphere_search(matrix, radius)
-        assert (walked.best, walked.best_metric) == (fixed.best, fixed.best_metric)
+        assert (walked_result.best, walked_result.best_metric) == (fixed.best, fixed.best_metric)
+
+    def test_no_floor_walks_the_analysed_factor(self, monkeypatch):
+        # K < L: R is singular and its certified floor is 0, so the walk runs
+        # on R's factor from the step analysis and factors nothing itself.
+        step = analyse_step(parse(NESTING_ROWS[:5]))
+        assert certified_floor(step.matrix, step.lambda_min) == 0
+        calls = counting_cholesky(monkeypatch)
+        result = step.first_optimum()
+        assert calls == []
+        scan = ml_exhaustive(step.matrix)
+        assert (result.best, result.best_metric) == (scan.best, scan.best_metric)
 
 
 @pytest.fixture(scope="module")
