@@ -119,7 +119,9 @@ def _parse_case(record: dict, where: str) -> tuple[tuple[int, int], _Case]:
         if not (_is_integer(k_pow) and _is_integer(l_pow)) or k_pow < 0 or l_pow < 0:
             raise ValueError(f"{where}: term powers must be non-negative integers")
         terms.append((_parse_coeff(coeff), k_pow, l_pow))
-    achievable = bool(record.get("achievable", False))
+    achievable = record.get("achievable", False)
+    if not isinstance(achievable, bool):
+        raise ValueError(f"{where}: achievable must be a JSON boolean")
     return (k_mod, l_mod), _Case(terms=tuple(terms), achievable=achievable)
 
 

@@ -1,19 +1,22 @@
 """Dense symmetric numerical kernel: Cholesky factorization with a jitter
-fallback for singular inputs, cyclic-Jacobi minimum eigenpair, and antipodal
-sign quantization.
+fallback for singular inputs, the minimum eigenpair by one ``eigh`` call and
+a canonical choice within its eigenspace, and antipodal sign quantization.
 
-Everything here is deterministic: fixed sweep order, fixed thresholds, no
-randomized pivoting. Downstream exact integer re-scoring protects search
-results from the floating point done in this module.
+Everything here is deterministic: fixed thresholds, no randomized pivoting,
+and an eigenpair whose value and quantized signs do not depend on the basis
+or rounding of the LAPACK build that ``eigh`` runs on. Downstream exact
+integer re-scoring protects search results from the floating point done in
+this module.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
+from numpy.linalg import LinAlgError, eigh
 
 from .sigcore import CorrelationMatrix, Signature
 
@@ -31,8 +34,10 @@ __all__ = [
 # Pivot floor is 1e-9 * K; a first failure adds that much jitter on the
 # diagonal and refactors once.
 PIVOT_FLOOR_COEFF = 1e-9
-JACOBI_SWEEP_CAP = 100
-JACOBI_OFF_TOL = 1e-12
+# Relative tolerance of the eigenpair rule: eigenvalues within
+# EIGEN_TOL * max|R_ij| * L of the smallest form the minimum eigenspace, and
+# vector components within EIGEN_TOL * ||x|| of zero quantize to +1.
+EIGEN_TOL = 1e-9
 RESIDUAL_TOL = 1e-8
 
 
@@ -41,7 +46,7 @@ class SingularMatrix(ArithmeticError):
 
 
 class EigenFailure(ArithmeticError):
-    """Eigen iteration did not reach the residual tolerance."""
+    """The eigensolver failed, or its pair missed the residual tolerance."""
 
     def __init__(self, message: str, residual: float):
         super().__init__(message)
@@ -125,89 +130,60 @@ def cholesky(matrix: CorrelationMatrix | np.ndarray) -> CholeskyFactor:
     return CholeskyFactor(entries=u, jitter=floor)
 
 
-def _offdiag_norm(a: np.ndarray) -> float:
-    off = a - np.diag(np.diag(a))
-    return float(np.sqrt((off * off).sum()))
+def _signs(columns: np.ndarray) -> np.ndarray:
+    """Sign of each column over {-1, +1} as int64. A component with
+    |x_i| <= EIGEN_TOL * ||x|| counts as zero and maps to +1."""
+    norms = np.sqrt((columns * columns).sum(axis=0))
+    return np.where(columns < -EIGEN_TOL * norms, -1, 1).astype(np.int64)
+
+
+def _exact_rayleigh(entries: np.ndarray, vector: np.ndarray) -> float:
+    """x^T R x / x^T x for x = ``vector`` rounded to integers at 2^-60,
+    formed in Python ints and correctly rounded by the final division."""
+    x = [round(math.ldexp(v, 60)) for v in vector.tolist()]
+    numerator = sum(xi * sum(map(mul, row, x)) for xi, row in zip(x, entries.tolist()))
+    return numerator / sum(xi * xi for xi in x)
 
 
 def min_eigenpair(matrix: CorrelationMatrix) -> EigenPair:
-    """Smallest eigenvalue and a unit eigenvector, by cyclic Jacobi sweeps.
+    """Smallest eigenvalue and a unit eigenvector chosen from the minimum
+    eigenspace by a rule that depends on that space, not on the eigensolver.
 
-    Converges when the off-diagonal Frobenius mass drops below
-    1e-12 * ||R||_F, capped at 100 sweeps. Raises EigenFailure (carrying the
-    best residual) if the cap is hit or the final residual exceeds
-    1e-8 * ||R||_max * L.
+    One ``eigh`` call gives the spectrum. The eigenspace E spans the
+    eigenvectors with value <= w_0 + EIGEN_TOL * max|R_ij| * L, and its
+    projector P = E E^T does not depend on the basis ``eigh`` picked. The
+    candidates are the columns of P and P u for the fixed generic vector
+    u_i = frac((i + 1) * 0.618...) - 1/2, less those of norm <= sqrt(EIGEN_TOL)
+    (P has trace >= 1, so some column survives). Each candidate is
+    normalised and quantized as ``quantize_sign`` does; the one with the
+    lowest exact metric s^T R s is returned, the first on ties, so
+    ``quantize_sign(pair.vector)`` is that point.
 
-    Each rotation runs on Python float lists: rows p and q are rotated and
-    mirrored into columns p and q. For j outside {p, q} the column update
-    rounds the same products and sums as the row update (neither CPython
-    nor numpy fuses them), so the matrix stays exactly symmetric and every
-    entry is bit-identical to a two-sided numpy rotation.
-
-    No eigenvector matrix is formed. Each applied rotation (p, q, c, s) is
-    logged, and after convergence the log is replayed last to first onto
-    the unit vector e_idx of the smallest diagonal entry: the same product
-    of rotations as column idx of V = J_1 ... J_m, associated the other way
-    round, so it agrees with that column to rounding at O(1) per rotation.
-    The log holds at most one rotation per off-diagonal pair per sweep,
-    O(sweeps * L^2) entries in compact arrays.
+    The value is the Rayleigh quotient of the returned vector, formed
+    exactly and rounded to 12 decimals: its error is second order in the
+    vector's, so it is the same double whatever solver produced the vector,
+    and the O(eps^2) residue of a singular R reads 0.0. Raises EigenFailure
+    if ``eigh`` fails or the residual exceeds 1e-8 * max|R_ij| * L.
     """
-    a = matrix.entries.astype(np.float64)
+    entries = matrix.entries
     n = matrix.dim
-    off_tol = JACOBI_OFF_TOL * float(np.sqrt((a * a).sum()))
-    a = a.tolist()
-    rot_p, rot_q, rot_c, rot_s = array("i"), array("i"), array("d"), array("d")
+    try:
+        values, vectors = eigh(entries.astype(np.float64))
+    except LinAlgError as exc:
+        raise EigenFailure(f"eigh failed: {exc}", residual=math.inf) from exc
+    max_entry = float(np.abs(entries).max())
+    space = vectors[:, values <= values[0] + EIGEN_TOL * max_entry * n]
+    projector = space @ space.T
+    generic = np.array([(i + 1) * 0.6180339887498949 % 1.0 - 0.5 for i in range(n)])
+    candidates = np.column_stack([projector, projector @ generic])
+    norms = np.sqrt((candidates * candidates).sum(axis=0))
+    keep = norms > math.sqrt(EIGEN_TOL)
+    candidates = candidates[:, keep] / norms[keep]
+    signs = _signs(candidates)
+    vector = candidates[:, int(np.argmin((signs * (entries @ signs)).sum(axis=0)))]
+    value = round(_exact_rayleigh(entries, vector), 12)
 
-    converged = False
-    for _ in range(JACOBI_SWEEP_CAP):
-        if _offdiag_norm(np.array(a)) <= off_tol:
-            converged = True
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p][q]
-                if apq == 0.0:
-                    continue
-                tau = (a[q][q] - a[p][p]) / (2.0 * apq)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                row_p, row_q = a[p], a[q]
-                new_p = [c * x - s * y for x, y in zip(row_p, row_q)]
-                new_q = [s * x + c * y for x, y in zip(row_p, row_q)]
-                # The 2x2 block: the column pass applied to the rotated rows.
-                new_p[p] = c * new_p[p] - s * new_p[q]
-                new_q[q] = s * new_q[p] + c * new_q[q]
-                new_p[q] = new_q[p] = 0.0
-                a[p], a[q] = new_p, new_q
-                for row, x, y in zip(a, new_p, new_q):
-                    row[p], row[q] = x, y
-                rot_p.append(p)
-                rot_q.append(q)
-                rot_c.append(c)
-                rot_s.append(s)
-    a = np.array(a)
-    if not converged and _offdiag_norm(a) > off_tol:
-        raise EigenFailure(
-            f"no convergence within {JACOBI_SWEEP_CAP} sweeps "
-            f"(off-diagonal mass {_offdiag_norm(a):.3e})",
-            residual=_offdiag_norm(a),
-        )
-
-    idx = int(np.argmin(np.diag(a)))
-    value = float(a[idx, idx])
-    v = [0.0] * n
-    v[idx] = 1.0
-    for p, q, c, s in zip(reversed(rot_p), reversed(rot_q), reversed(rot_c), reversed(rot_s)):
-        v[p], v[q] = c * v[p] + s * v[q], c * v[q] - s * v[p]
-    vector = np.array(v)
-    vector /= math.sqrt(float(vector @ vector))
-
-    residual = float(np.sqrt(((matrix.entries @ vector - value * vector) ** 2).sum()))
-    max_entry = float(np.abs(matrix.entries).max())
+    residual = float(np.sqrt(((entries @ vector - value * vector) ** 2).sum()))
     if residual > RESIDUAL_TOL * max_entry * n:
         raise EigenFailure(
             f"residual {residual:.3e} exceeds tolerance for the returned pair",
@@ -217,6 +193,7 @@ def min_eigenpair(matrix: CorrelationMatrix) -> EigenPair:
 
 
 def quantize_sign(vector) -> Signature:
-    """Entrywise sign over {-1, +1}; zero entries map to +1."""
-    arr = np.asarray(vector, dtype=np.float64).ravel()
-    return Signature(tuple(1 if x >= 0.0 else -1 for x in arr))
+    """Entrywise sign over {-1, +1}; entries with |x_i| <= EIGEN_TOL * ||x||,
+    zeros included, map to +1."""
+    column = np.asarray(vector, dtype=np.float64).reshape(-1, 1)
+    return Signature(tuple(_signs(column)[:, 0].tolist()))

@@ -145,6 +145,9 @@ class TestBinaryBound:
             {"schema": "sigforge.bound-table/1", "cases": [{"k_mod": 1, "l_mod": 0, "terms": [[float("nan"), 0, 0]]}]},
             {"schema": "sigforge.bound-table/1", "cases": [{"k_mod": True, "l_mod": 0, "terms": [[1, 0, 0]]}]},
             {"schema": "sigforge.bound-table/1", "cases": [{"k_mod": 1, "l_mod": 0, "terms": [[1, True, 0]]}]},
+            # achievable is a JSON boolean, not a truthy string or number.
+            {"schema": "sigforge.bound-table/1", "cases": [{"k_mod": 1, "l_mod": 0, "terms": [[1, 0, 0]], "achievable": "no"}]},
+            {"schema": "sigforge.bound-table/1", "cases": [{"k_mod": 1, "l_mod": 0, "terms": [[1, 0, 0]], "achievable": 1}]},
         ],
     )
     def test_malformed_tables_rejected(self, tmp_path, doc):

@@ -72,6 +72,13 @@ class TestBoundCommand:
         table.write_text("{not json")
         assert main(["bound", "--k", "5", "--l", "4", "--table", str(table)]) == 2
 
+    def test_non_boolean_achievable(self, tmp_path, capsys):
+        table = tmp_path / "table.json"
+        case = '{"k_mod": 1, "l_mod": 0, "terms": [[1, 0, 0]], "achievable": "no"}'
+        table.write_text('{"schema": "sigforge.bound-table/1", "cases": [%s]}' % case)
+        assert main(["bound", "--k", "5", "--l", "4", "--table", str(table)]) == 2
+        assert "achievable must be a JSON boolean" in capsys.readouterr().err
+
     def test_non_finite_table_coefficient(self, tmp_path, capsys):
         table = tmp_path / "table.json"
         case = '{"k_mod": 1, "l_mod": 0, "terms": [[Infinity, 0, 0]]}'

@@ -1,8 +1,7 @@
-"""Hand-rolled Cholesky and Jacobi kernels against numpy oracles, and the
-list-based Jacobi, which replays its rotations onto one column, against the
-per-rotation numpy kernel that formed the whole eigenvector matrix."""
+"""Hand-rolled Cholesky against numpy oracles, and the canonical minimum
+eigenpair against the eigensolver it runs on: its value and quantized point
+do not change when ``eigh`` sees R in another index order."""
 
-import jacobi_reference
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,7 +24,7 @@ from sigforge import (
     upscale_chain,
 )
 from sigforge.cli import main
-from sigforge.linalg import CholeskyFactor, EigenPair
+from sigforge.linalg import CholeskyFactor
 
 RECON_TOL = 1e-8
 
@@ -99,6 +98,15 @@ class TestMinEigenpair:
         m = correlation_matrix(SignatureSet.from_rows([[1, 1]]))
         pair = min_eigenpair(m)
         assert pair.value == pytest.approx(0.0, abs=1e-12)
+
+    def test_generic_candidate_reaches_the_optimum(self):
+        # R = s s^T: the eigenspace of 0 is s's complement, with projector
+        # I - s s^T / 4. Each projector column quantizes to a point of
+        # metric 4; the generic candidate P u quantizes to one of metric 0.
+        m = correlation_matrix(SignatureSet.from_rows([[1, 1, -1, -1]]))
+        pair = min_eigenpair(m)
+        assert pair.value == 0.0
+        assert quadratic_metric(m, quantize_sign(pair.vector)) == 0
 
     def test_against_numpy_oracle(self):
         rng = np.random.default_rng(22)
@@ -174,21 +182,29 @@ def underloaded_sets(draw):
     return SignatureSet.from_rows(draw(rows_of(length, draw(st.integers(1, length - 1)))))
 
 
-# The replayed column is the same product of rotations as the reference's
-# eigenvector column, associated the other way round: equal to rounding.
-VECTOR_TOL = 1e-12
+def permuted_eigh(order):
+    """``eigh`` run on R with rows and columns taken in ``order``, its
+    eigenvectors mapped back to R's indices: the same spectrum, another
+    basis in every degenerate eigenspace, other rounding."""
+    real_eigh = sigforge.linalg.eigh
+
+    def run(a):
+        values, vectors = real_eigh(a[np.ix_(order, order)])
+        return values, vectors[np.argsort(order)]
+
+    return run
 
 
-def assert_matches_reference(signature_set):
+def assert_kernel_independent(signature_set):
     m = correlation_matrix(signature_set)
-    pair, reference = min_eigenpair(m), jacobi_reference.min_eigenpair(m)
-    assert pair.value == reference.value
-    assert np.abs(pair.vector - reference.vector).max() <= VECTOR_TOL
-    # Signs may differ only at components that are zero up to rounding.
-    clear = np.abs(reference.vector) > VECTOR_TOL
-    assert tuple(np.array(quantize_sign(pair.vector))[clear]) == tuple(
-        np.array(quantize_sign(reference.vector))[clear]
-    )
+    pair = min_eigenpair(m)
+    orders = [np.arange(m.dim)[::-1], np.random.default_rng(m.dim).permutation(m.dim)]
+    for order in orders:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sigforge.linalg, "eigh", permuted_eigh(order))
+            other = min_eigenpair(m)
+        assert other.value == pair.value
+        assert quantize_sign(other.vector) == quantize_sign(pair.vector)
 
 
 @pytest.fixture(scope="module")
@@ -198,47 +214,46 @@ def reference_chain_sets():
 
 
 class TestBitIdentity:
-    """The list-based sweep returns the numpy rotation's eigenvalue bit for
-    bit, and its eigenvector and quantized signs up to rounding."""
+    """The eigenvalue and the quantized point are bit-identical whatever
+    index order, and so whatever eigenbasis, the eigensolver works in."""
 
     @PROPERTY_SETTINGS
     @given(random_sets())
     def test_random_sets(self, signature_set):
-        assert_matches_reference(signature_set)
+        assert_kernel_independent(signature_set)
 
     @PROPERTY_SETTINGS
     @given(repeated_row_sets())
     def test_repeated_rows(self, signature_set):
-        assert_matches_reference(signature_set)
+        assert_kernel_independent(signature_set)
 
     @PROPERTY_SETTINGS
     @given(underloaded_sets())
     def test_fewer_signatures_than_chips(self, signature_set):
-        assert_matches_reference(signature_set)
+        assert_kernel_independent(signature_set)
 
     @PROPERTY_SETTINGS
     @given(st.integers(1, 24).flatmap(lambda length: rows_of(length, 1)))
     def test_single_signature(self, rows):
-        assert_matches_reference(SignatureSet.from_rows(rows))
+        assert_kernel_independent(SignatureSet.from_rows(rows))
 
     @pytest.mark.parametrize("step", range(16))
     def test_reference_chain_steps(self, reference_chain_sets, step):
         # lambda_min = 16 with multiplicity 16 - step: degenerate on all but the last.
-        assert_matches_reference(reference_chain_sets[step])
+        assert_kernel_independent(reference_chain_sets[step])
+
+
+def failing_eigh(a):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
 
 class TestEigenFailurePaths:
-    """Both raise paths of min_eigenpair run, thresholds patched per test."""
+    """Both raise paths of min_eigenpair run, the solver or threshold
+    patched per test, and the CLI exits 3 on either."""
 
     @pytest.fixture
     def l12_matrix(self):
         return random_matrix(np.random.default_rng(26), 12)
-
-    def test_sweep_cap(self, l12_matrix, monkeypatch):
-        monkeypatch.setattr(sigforge.linalg, "JACOBI_SWEEP_CAP", 1)
-        with pytest.raises(EigenFailure, match="no convergence within 1 sweeps") as info:
-            min_eigenpair(l12_matrix)
-        assert info.value.residual > 0
 
     def test_residual_tolerance(self, l12_matrix, monkeypatch):
         monkeypatch.setattr(sigforge.linalg, "RESIDUAL_TOL", 0.0)
@@ -246,19 +261,32 @@ class TestEigenFailurePaths:
             min_eigenpair(l12_matrix)
         assert info.value.residual > 0
 
-    def test_cli_extend_exits_3(self, tmp_path, monkeypatch, capsys):
+    @pytest.fixture
+    def l12_file(self, tmp_path):
         path = tmp_path / "l12.txt"
         rng = np.random.default_rng(26)
         save_set(SignatureSet.from_rows(rng.choice([-1, 1], size=(18, 12)).tolist()), path)
-        monkeypatch.setattr(sigforge.linalg, "JACOBI_SWEEP_CAP", 1)
-        assert main(["extend", str(path)]) == 3
-        assert "no convergence" in capsys.readouterr().err
+        return str(path)
+
+    def test_cli_extend_exits_3(self, l12_file, monkeypatch, capsys):
+        monkeypatch.setattr(sigforge.linalg, "RESIDUAL_TOL", 0.0)
+        assert main(["extend", l12_file]) == 3
+        assert "exceeds tolerance" in capsys.readouterr().err
+
+    def test_solver_failure_exits_3(self, l12_matrix, l12_file, monkeypatch, capsys):
+        monkeypatch.setattr(sigforge.linalg, "eigh", failing_eigh)
+        with pytest.raises(EigenFailure, match="did not converge"):
+            min_eigenpair(l12_matrix)
+        assert main(["extend", l12_file]) == 3
+        assert "did not converge" in capsys.readouterr().err
 
 
 class TestQuantizeSign:
     def test_zero_maps_to_plus_one(self):
         sig = quantize_sign(np.array([0.0, -0.0, -3.0, 2.0]))
         assert tuple(sig) == (1, 1, -1, 1)
+        # Rounding noise around a zero component counts as zero.
+        assert tuple(quantize_sign([1.0, -1e-17, -1.0])) == (1, 1, -1)
 
     def test_length_preserved(self):
         assert len(quantize_sign(np.ones(7))) == 7
