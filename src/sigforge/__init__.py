@@ -57,15 +57,12 @@ from .sigcore import (
 from .sphere import (
     CapExceeded,
     EmptySphere,
-    QDecomposition,
     SearchResult,
-    SearchState,
     StepAnalysis,
     analyse_step,
     certified_floor,
     local_descent_baseline,
     ml_exhaustive,
-    q_decomposition,
     radius_squared,
     sphere_search,
 )
@@ -101,14 +98,11 @@ __all__ = [
     "binary_tsc_bound",
     "fp_operation_bound",
     "load_bound_table",
-    "QDecomposition",
-    "SearchState",
     "SearchResult",
     "StepAnalysis",
     "EmptySphere",
     "CapExceeded",
     "radius_squared",
-    "q_decomposition",
     "certified_floor",
     "sphere_search",
     "ml_exhaustive",

@@ -27,6 +27,9 @@ __all__ = [
 ]
 
 BOUND_TABLE_SCHEMA = "sigforge.bound-table/1"
+# Largest K or L power a table term may carry. TSC bounds are cubic; a
+# larger power only makes the exact evaluation slow or its value unprintable.
+MAX_TERM_POWER = 8
 
 
 class Underloaded(ValueError):
@@ -118,6 +121,10 @@ def _parse_case(record: dict, where: str) -> tuple[tuple[int, int], _Case]:
         coeff, k_pow, l_pow = term
         if not (_is_integer(k_pow) and _is_integer(l_pow)) or k_pow < 0 or l_pow < 0:
             raise ValueError(f"{where}: term powers must be non-negative integers")
+        if max(k_pow, l_pow) > MAX_TERM_POWER:
+            raise ValueError(
+                f"{where}: term powers must be at most {MAX_TERM_POWER}, got {term!r}"
+            )
         terms.append((_parse_coeff(coeff), k_pow, l_pow))
     achievable = record.get("achievable", False)
     if not isinstance(achievable, bool):

@@ -8,12 +8,14 @@ every leaf is re-scored in exact integer arithmetic, so floating point can
 only ever admit extra leaves, never corrupt the argmin.
 
 Two walks share one iterative tree traversal of a factor with its indices
-reversed, which visits leaves in tie-break order, and one exact leaf scorer.
-The default walk enumerates the whole ball of R at a fixed radius. The
-first-optimum walk, the one the extension pipeline runs, starts at its
-form's nearest-plane leaf, shrinks the radius after each exact improvement
-and stops at a certified eigenvalue floor. It walks one form: a shifted form
-that ranks sign vectors as R does when the floor certifies it, R otherwise.
+reversed, which visits leaves in tie-break order, and one exact scorer,
+``sigcore.quadratic_metric``. ``sphere_search``'s ``lambda_min`` selects
+the walk. Without it, the fixed-radius walk enumerates the whole ball of R.
+With it, the first-optimum walk, the one the extension pipeline runs,
+starts at its form's nearest-plane leaf, shrinks the radius after each exact
+improvement and stops at the eigenvalue floor it certifies. It walks one
+form: a shifted form that ranks sign vectors as R does when the floor
+allows it, R otherwise.
 
 Also provides the exhaustive scan used as the optimality oracle and a plain
 single-bit-flip descent baseline for method comparisons.
@@ -39,15 +41,12 @@ from .sigcore import (
 )
 
 __all__ = [
-    "QDecomposition",
-    "SearchState",
     "SearchResult",
     "StepAnalysis",
     "EmptySphere",
     "CapExceeded",
     "InternalConsistencyError",
     "radius_squared",
-    "q_decomposition",
     "certified_floor",
     "sphere_search",
     "ml_exhaustive",
@@ -92,56 +91,14 @@ class InternalConsistencyError(RuntimeError):
 
 
 @dataclass(frozen=True, eq=False)
-class QDecomposition:
-    """Weighted-square form of the factor: q_ii = u_ii^2, q_ij = u_ij / u_ii.
-
-    ||U s||^2 == sum_i q_ii * (s_i + sum_{j>i} q_ij s_j)^2.
-    """
-
-    q_diag: np.ndarray
-    q_upper: np.ndarray
-
-    def __post_init__(self):
-        d = np.asarray(self.q_diag, dtype=np.float64)
-        u = np.asarray(self.q_upper, dtype=np.float64)
-        if d.ndim != 1 or u.shape != (d.size, d.size):
-            raise ValueError("q_diag must be length L and q_upper L x L")
-        if np.any(d <= 0.0):
-            raise ValueError("q_diag entries must be strictly positive")
-        if np.any(np.tril(u) != 0.0):
-            raise ValueError("q_upper must be strictly upper triangular")
-        d.setflags(write=False)
-        u.setflags(write=False)
-        object.__setattr__(self, "q_diag", d)
-        object.__setattr__(self, "q_upper", u)
-
-    @property
-    def dim(self) -> int:
-        return int(self.q_diag.size)
-
-
-@dataclass(frozen=True)
-class SearchState:
-    """One expanded node: budget and offset seen at ``level`` when the entry
-    was fixed, plus the fixed tail (x_level, ..., x_L) in factor order, where
-    x_i = s_(L+1-i); that is the fixed head (s_1, ..., s_(L+1-level)) read
-    backwards."""
-
-    level: int
-    delta: float
-    budget: float
-    partial: tuple[int, ...]
-
-
-@dataclass(frozen=True, eq=False)
 class SearchResult:
     """Outcome of one search, with exact integer scoring.
 
     ``candidates`` holds the enumerated (signature, exact metric) pairs in
     visit order, which is lexicographic (+1 < -1), when the search kind
     retains them (the fixed-radius sphere walk does; the first-optimum walk,
-    the exhaustive and descent oracles do not). ``trace`` holds SearchState
-    nodes when requested. ``radius_c`` is +inf for the unbounded oracles.
+    the exhaustive and descent oracles do not). ``radius_c`` is +inf for the
+    unbounded oracles.
     """
 
     best: Signature
@@ -151,7 +108,6 @@ class SearchResult:
     radius_c: float
     ties: int
     candidates: tuple | None = None
-    trace: tuple | None = None
 
 
 def radius_squared(matrix: CorrelationMatrix, quantized: Signature) -> float:
@@ -161,16 +117,6 @@ def radius_squared(matrix: CorrelationMatrix, quantized: Signature) -> float:
     point, so a sphere of this radius always contains it.
     """
     return float(quadratic_metric(matrix, quantized))
-
-
-def q_decomposition(factor: CholeskyFactor) -> QDecomposition:
-    """Rescale an upper-triangular factor into the weighted-square form."""
-    u = factor.entries
-    d = np.diag(u)
-    q_diag = d * d
-    q_upper = u / d[:, np.newaxis]
-    q_upper = np.triu(q_upper, 1)
-    return QDecomposition(q_diag=q_diag, q_upper=q_upper)
 
 
 def _positive_definite(a: list) -> bool:
@@ -213,13 +159,15 @@ def certified_floor(matrix: CorrelationMatrix, lambda_min: float) -> int | None:
     an integer lambda_true * L makes the ceiling one too high, so b - 1 is
     tried when b fails.
     """
-    if not math.isfinite(lambda_min):
-        return None
     dim = matrix.dim
-    scaled = matrix.entries * dim
-    proposal = math.ceil(lambda_min * dim)
+    bound = lambda_min * dim
+    if not math.isfinite(bound):
+        return None
+    proposal = math.ceil(bound)
+    # Python integers: L * R_ij can leave int64 even though R_ij does not.
+    entries = matrix.entries.tolist()
     for floor in (proposal, proposal - 1):
-        shifted = scaled.tolist()
+        shifted = [[dim * x for x in row] for row in entries]
         for i in range(dim):
             shifted[i][i] -= floor - 1
         if _positive_definite(shifted):
@@ -236,7 +184,7 @@ def _nearest_plane(rows: list) -> list[int]:
     return path
 
 
-def _walk(q_diag: list, rows: list, cap: float, on_leaf, trace=None) -> int:
+def _walk(q_diag: list, rows: list, cap: float, on_leaf) -> int:
     """Iterative depth-first walk of {x : ||U x||^2 <= cap} over the cube,
     in factor order: x_L first, x_1 at the leaves, +1 before -1.
 
@@ -244,8 +192,7 @@ def _walk(q_diag: list, rows: list, cap: float, on_leaf, trace=None) -> int:
     ``sphere_search`` lays them out. The leaf coordinate x_1 takes +1 only.
     ``on_leaf(values, cap)`` receives each admitted leaf as a list
     (x_L, ..., x_1) and returns the cap for the rest of the walk, or None to
-    stop. ``trace``, when a list, receives one
-    SearchState per admitted node. Returns the number of admitted nodes.
+    stop. Returns the number of admitted nodes.
     """
     n = len(q_diag)
     path: list[int] = []
@@ -269,15 +216,6 @@ def _walk(q_diag: list, rows: list, cap: float, on_leaf, trace=None) -> int:
         if spent > cap:
             continue
         nodes += 1
-        if trace is not None:
-            trace.append(
-                SearchState(
-                    level=level + 1,
-                    delta=delta[level],
-                    budget=cap - used[level],
-                    partial=(value, *reversed(path)),
-                )
-            )
         if level == 0:
             cap = on_leaf(path + [value], cap)
             if cap is None:
@@ -294,8 +232,6 @@ def sphere_search(
     matrix: CorrelationMatrix,
     radius: float,
     *,
-    collect_trace: bool = False,
-    first_optimum: bool = False,
     lambda_min: float | None = None,
     factor: CholeskyFactor | None = None,
 ) -> SearchResult:
@@ -304,25 +240,26 @@ def sphere_search(
     The last coordinate is pinned to +1 (negating s preserves the metric, so
     nothing is lost). R is factored with its indices reversed, so s_1 is
     fixed first and s_L last, +1 before -1, and leaves arrive in tie-break
-    order: lexicographic with +1 < -1. Every leaf is re-scored exactly, and
-    the first leaf at the minimal metric is returned.
+    order: lexicographic with +1 < -1. Every leaf is re-scored exactly by
+    ``quadratic_metric``, and the first leaf at the minimal metric is
+    returned.
 
-    Default (fixed-radius) walk: the radius stays fixed for the whole walk
-    and every candidate in the ball is enumerated. ``collect_trace`` records
-    a SearchState per expanded node.
+    Without ``lambda_min`` the radius stays fixed for the whole walk and
+    every candidate in the ball is enumerated into ``candidates``.
 
-    ``first_optimum`` walk: the radius starts at the smaller of ``radius``
-    and the exact metric of the walked form's nearest-plane leaf, which
-    seeds no answer. After each exact improvement m it shrinks to m - 1;
-    metrics are integers, so the first leaf reaching the final metric is the
-    lexicographically first optimum. With ``lambda_min`` the walk also stops
+    With ``lambda_min`` (the first-optimum walk) the radius starts at the
+    smaller of ``radius`` and the exact metric of the walked form's
+    nearest-plane leaf, which seeds no answer. After each exact improvement
+    m it shrinks to m - 1; metrics are integers, so the first leaf reaching
+    the final metric is the lexicographically first optimum. The walk stops
     at the first leaf meeting b = ``certified_floor(matrix, lambda_min)``,
     and when b > 2 and L * sum |R_ij| < 2^63 it walks A = L*R - (b-2)*I
     instead of R. Every antipodal s has s^T s = L, so s^T A s =
     L * s^T R s - (b-2) * L ranks leaves as R does, and b's certificate
     L*R - (b-1)*I > 0 makes A > I. A's ball is not nested in R's, so a
-    floored walk can visit more nodes than the unfloored one; the answer is
-    the same. It keeps no candidates and takes no trace;
+    floored walk can visit more nodes than one on R; the answer is the
+    same. ``lambda_min=0.0`` is valid for every R (R is semidefinite): it
+    certifies b = 0 and walks R. This walk keeps no candidates;
     ``candidates_enumerated`` counts the leaves reached, ``ties`` is 1, and
     neither counts the dive.
 
@@ -335,10 +272,6 @@ def sphere_search(
     """
     if not (radius >= 0.0):
         raise ValueError("radius must be >= 0")
-    if first_optimum and collect_trace:
-        raise ValueError("the first-optimum walk takes no trace")
-    if not first_optimum and lambda_min is not None:
-        raise ValueError("lambda_min is used by the first-optimum walk only")
     dim = matrix.dim
     if factor is not None and factor.dim != dim:
         raise ValueError(f"factor is {factor.dim} x {factor.dim}, R is {dim} x {dim}")
@@ -353,10 +286,13 @@ def sphere_search(
     else:
         entries, scale, offset = r, 1, 0
         u = factor if factor is not None else cholesky(r)
-    q = q_decomposition(u)
-    q_diag = q.q_diag.tolist()
+    # Weighted-square form of the factor: ||U x||^2 is the sum over i of
+    # q_ii * (x_i + sum_{j>i} q_ij x_j)^2, with q_ii = u_ii^2, q_ij = u_ij / u_ii.
+    d = np.diag(u.entries)
+    q_diag = (d * d).tolist()
+    q_upper = u.entries / d[:, np.newaxis]
     # rows[i] holds q_ij for j = L-1 down to i+1, aligned with the walk's path.
-    rows = [q.q_upper[i, i + 1 :][::-1].tolist() for i in range(dim)]
+    rows = [q_upper[i, i + 1 :][::-1].tolist() for i in range(dim)]
     # Jitter shifts every float form value up by jitter * L; widen the budget
     # by the same amount so exact-metric membership is preserved.
     jitter = u.jitter * dim
@@ -368,51 +304,44 @@ def sphere_search(
         # far smaller than either term.
         return (scale * metric + offset + jitter) * (1.0 + RADIUS_EPS) + abs_slack
 
-    def score(values) -> int:
-        chips = np.array(values, dtype=np.int64)
-        return int(chips @ matrix.entries @ chips)
-
+    candidates: list[tuple[Signature, int]] | None = [] if lambda_min is None else None
     start = float(radius)
-    if first_optimum:
-        dive = _nearest_plane(rows)
-        start = score(dive if dive[-1] == 1 else [-x for x in dive])
+    if candidates is None:
+        start = quadratic_metric(matrix, Signature(tuple(_nearest_plane(rows))))
         if radius < start:
             start = math.floor(radius)
-
-    candidates: list[tuple[Signature, int]] | None = None if first_optimum else []
-    trace: list[SearchState] | None = [] if collect_trace else None
+    best: Signature | None = None
     best_metric: int | None = None
-    best_chips: list | None = None
     leaves = 0
 
     def on_leaf(values, cap):
         # Leaves arrive in tie-break order, so an equal metric never wins.
-        nonlocal best_metric, best_chips, leaves
+        nonlocal best, best_metric, leaves
         leaves += 1
-        exact = score(values)
+        signature = Signature(tuple(values))
+        exact = quadratic_metric(matrix, signature)
         if candidates is not None:
-            candidates.append((Signature(tuple(values)), exact))
+            candidates.append((signature, exact))
         if best_metric is not None and exact >= best_metric:
             return cap
-        best_metric, best_chips = exact, values
+        best, best_metric = signature, exact
         if floor is not None and exact <= floor:
             return None
         return cap if candidates is not None else cap_for(exact - 1)
 
-    nodes = _walk(q_diag, rows, cap_for(start), on_leaf, trace)
-    if best_metric is None:
+    nodes = _walk(q_diag, rows, cap_for(start), on_leaf)
+    if best is None:
         raise EmptySphere(
             f"no antipodal point within squared radius {radius!r} (L={dim})"
         )
     return SearchResult(
-        best=Signature(tuple(best_chips)),
+        best=best,
         best_metric=best_metric,
         candidates_enumerated=leaves,
         nodes_visited=nodes,
         radius_c=float(radius),
         ties=1 if candidates is None else sum(1 for _, m in candidates if m == best_metric),
         candidates=None if candidates is None else tuple(candidates),
-        trace=None if trace is None else tuple(trace),
     )
 
 
@@ -467,8 +396,8 @@ def ml_exhaustive(matrix: CorrelationMatrix, cap: int = DEFAULT_ML_CAP) -> Searc
         if block_min == best_metric:
             ties += int(np.count_nonzero(block == block_min))
     head_index, tail_index = divmod(best_index, n_tail)
-    chips = np.concatenate([heads[head_index], tails[tail_index]])
-    exact = int(chips @ r @ chips)
+    best = Signature(tuple(np.concatenate([heads[head_index], tails[tail_index]]).tolist()))
+    exact = quadratic_metric(matrix, best)
     if exact != best_metric:
         raise InternalConsistencyError(
             f"exhaustive scan at L={dim}: float minimum {best_metric!r} != "
@@ -476,7 +405,7 @@ def ml_exhaustive(matrix: CorrelationMatrix, cap: int = DEFAULT_ML_CAP) -> Searc
         )
     total = 1 << (dim - 1)
     return SearchResult(
-        best=Signature(tuple(chips.tolist())),
+        best=best,
         best_metric=exact,
         candidates_enumerated=total,
         nodes_visited=total,
@@ -528,8 +457,8 @@ class StepAnalysis:
 
     R, its minimum eigenvalue, the sign-quantized eigenvector and its exact
     metric (the search radius), the Cholesky factor of R with its indices
-    reversed, which both sphere walks traverse, and from it the operation
-    bound and whether jitter was needed.
+    reversed, which the first-optimum walk reuses when it walks R, and from
+    it the operation bound and whether jitter was needed.
     """
 
     matrix: CorrelationMatrix
@@ -553,7 +482,6 @@ class StepAnalysis:
         return sphere_search(
             self.matrix,
             self.radius,
-            first_optimum=True,
             lambda_min=self.lambda_min,
             factor=self.factor,
         )

@@ -148,6 +148,9 @@ class TestBinaryBound:
             # achievable is a JSON boolean, not a truthy string or number.
             {"schema": "sigforge.bound-table/1", "cases": [{"k_mod": 1, "l_mod": 0, "terms": [[1, 0, 0]], "achievable": "no"}]},
             {"schema": "sigforge.bound-table/1", "cases": [{"k_mod": 1, "l_mod": 0, "terms": [[1, 0, 0]], "achievable": 1}]},
+            # Powers beyond MAX_TERM_POWER: evaluating them runs unbounded.
+            {"schema": "sigforge.bound-table/1", "cases": [{"k_mod": 1, "l_mod": 0, "terms": [[1, 1000000000, 0]]}]},
+            {"schema": "sigforge.bound-table/1", "cases": [{"k_mod": 1, "l_mod": 0, "terms": [[1, 0, 9]]}]},
         ],
     )
     def test_malformed_tables_rejected(self, tmp_path, doc):

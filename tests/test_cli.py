@@ -79,6 +79,13 @@ class TestBoundCommand:
         assert main(["bound", "--k", "5", "--l", "4", "--table", str(table)]) == 2
         assert "achievable must be a JSON boolean" in capsys.readouterr().err
 
+    def test_table_power_above_limit(self, tmp_path, capsys):
+        table = tmp_path / "table.json"
+        case = '{"k_mod": 1, "l_mod": 0, "terms": [[1, 3000000, 0]]}'
+        table.write_text('{"schema": "sigforge.bound-table/1", "cases": [%s]}' % case)
+        assert main(["bound", "--k", "5", "--l", "4", "--table", str(table)]) == 2
+        assert "case 0: term powers must be at most 8" in capsys.readouterr().err
+
     def test_non_finite_table_coefficient(self, tmp_path, capsys):
         table = tmp_path / "table.json"
         case = '{"k_mod": 1, "l_mod": 0, "terms": [[Infinity, 0, 0]]}'

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import sigforge.sphere
 from sigforge import (
     CorrelationMatrix,
+    Signature,
     SignatureSet,
     certified_floor,
     cholesky,
@@ -19,6 +20,7 @@ from sigforge import (
     hadamard_set,
     min_eigenpair,
     ml_exhaustive,
+    quadratic_metric,
     quantize_sign,
     radius_squared,
     sphere_search,
@@ -77,8 +79,9 @@ def assert_first_optimum_is_exact(signature_set):
     matrix = correlation_matrix(signature_set)
     pair = min_eigenpair(matrix)
     radius = radius_squared(matrix, quantize_sign(pair.vector))
-    first = sphere_search(matrix, radius, first_optimum=True, lambda_min=pair.value)
-    unfloored = sphere_search(matrix, radius, first_optimum=True)
+    first = sphere_search(matrix, radius, lambda_min=pair.value)
+    # A floor of 0 holds for every R, so lambda_min=0.0 walks R itself.
+    unfloored = sphere_search(matrix, radius, lambda_min=0.0)
     fixed = sphere_search(matrix, radius)
     scan = ml_exhaustive(matrix)
     expected = (scan.best, scan.best_metric)
@@ -93,7 +96,7 @@ def assert_first_optimum_is_exact(signature_set):
     # A given factor of the reversed R only skips factoring it again, in
     # every mode and through the pipeline, which hands over the analysed one.
     factor = cholesky(matrix.entries[::-1, ::-1])
-    modes = ({"first_optimum": True, "lambda_min": pair.value}, {"first_optimum": True}, {})
+    modes = ({"lambda_min": pair.value}, {"lambda_min": 0.0}, {})
     for result, mode in zip((first, unfloored, fixed), modes):
         assert fields_of(sphere_search(matrix, radius, factor=factor, **mode)) == fields_of(result)
     assert fields_of(analyse_step(signature_set).first_optimum()) == fields_of(first)
@@ -131,11 +134,12 @@ class TestCertifiedFloor:
         assert certified_floor(m, 16.1) is None
         assert certified_floor(m, 17.0) is None
         assert certified_floor(m, float("nan")) is None
+        assert certified_floor(m, 1e308) is None  # lambda_min * L overflows to inf
 
     def test_wrong_eigenvalue_cannot_change_the_result(self):
         m = correlation_matrix(hadamard_set(8))
-        honest = sphere_search(m, 64.0, first_optimum=True, lambda_min=8.0)
-        lied = sphere_search(m, 64.0, first_optimum=True, lambda_min=100.0)
+        honest = sphere_search(m, 64.0, lambda_min=8.0)
+        lied = sphere_search(m, 64.0, lambda_min=100.0)
         assert (lied.best, lied.best_metric) == (honest.best, honest.best_metric)
         assert lied.nodes_visited > honest.nodes_visited
 
@@ -146,25 +150,29 @@ class TestCertifiedFloor:
         assert certified_floor(m, min_eigenpair(m).value) == 2
         assert ml_exhaustive(m).best_metric == 2
 
+    def test_scaled_entries_do_not_wrap(self):
+        # I_8 with R_01 = R_10 = 2^61: sum |R_ij| = 2^62 + 8 fits int64, but
+        # 8 * 2^61 does not. s = (1, -1, 1, ..., 1) has metric 8 - 2^62, so
+        # no floor of 8 (or 7) holds.
+        entries = np.eye(8, dtype=np.int64)
+        entries[0, 1] = entries[1, 0] = 1 << 61
+        m = CorrelationMatrix(entries)
+        assert certified_floor(m, 1.0) is None
+        assert quadratic_metric(m, Signature((1, -1) + (1,) * 6)) == 8 - (1 << 62)
+
 
 class TestIterativeWalk:
     def test_deeper_than_the_recursion_limit(self):
         length = 1100
         assert length > sys.getrecursionlimit()
         m = CorrelationMatrix(np.eye(length, dtype=np.int64))
-        result = sphere_search(
-            m, float(length), first_optimum=True, lambda_min=min_eigenpair(m).value
-        )
+        result = sphere_search(m, float(length), lambda_min=min_eigenpair(m).value)
         assert result.best_metric == length
         assert tuple(result.best) == (1,) * length
         assert result.nodes_visited == length  # the first leaf meets the floor
 
     def test_mode_arguments_checked(self):
         m = correlation_matrix(hadamard_set(4))
-        with pytest.raises(ValueError):
-            sphere_search(m, 16.0, first_optimum=True, collect_trace=True)
-        with pytest.raises(ValueError):
-            sphere_search(m, 16.0, lambda_min=4.0)
         with pytest.raises(ValueError, match="factor"):
             sphere_search(m, 16.0, factor=cholesky(correlation_matrix(hadamard_set(8))))
 

@@ -45,8 +45,8 @@ def walks(matrix):
     walk from the step's radius."""
     pair = min_eigenpair(matrix)
     radius = radius_squared(matrix, quantize_sign(pair.vector))
-    floored = sphere_search(matrix, radius, first_optimum=True, lambda_min=pair.value)
-    unfloored = sphere_search(matrix, radius, first_optimum=True)
+    floored = sphere_search(matrix, radius, lambda_min=pair.value)
+    unfloored = sphere_search(matrix, radius, lambda_min=0.0)
     return floored, unfloored, sphere_search(matrix, radius)
 
 
@@ -85,6 +85,31 @@ class TestBothBoundsNest:
         assert unfloored.nodes_visited <= fixed.nodes_visited
 
 
+class TestOneExactScorer:
+    def test_leaves_the_dive_and_the_scan_winner(self, monkeypatch):
+        # quadratic_metric scores every leaf, the first-optimum walk's dive
+        # and the exhaustive scan's winner, and the searches score nothing else.
+        matrix = correlation_matrix(parse(NESTING_ROWS))
+        pair = min_eigenpair(matrix)
+        radius = radius_squared(matrix, quantize_sign(pair.vector))
+        calls = []
+        score = sigforge.sphere.quadratic_metric
+        monkeypatch.setattr(
+            sigforge.sphere, "quadratic_metric", lambda m, s: calls.append(s) or score(m, s)
+        )
+        for lambda_min in (pair.value, 0.0):
+            calls.clear()
+            result = sphere_search(matrix, radius, lambda_min=lambda_min)
+            assert len(calls) == result.candidates_enumerated + 1
+        calls.clear()
+        fixed = sphere_search(matrix, radius)
+        assert len(calls) == fixed.candidates_enumerated
+        assert calls == [s for s, _ in fixed.candidates]
+        calls.clear()
+        scan = ml_exhaustive(matrix)
+        assert calls == [scan.best]
+
+
 def counting_cholesky(monkeypatch):
     """Record every matrix ``sphere`` factors from here on."""
     calls = []
@@ -108,7 +133,7 @@ class TestDerivedMatrices:
             validate(self)
 
         monkeypatch.setattr(CorrelationMatrix, "__post_init__", counted)
-        sphere_search(matrix, radius, first_optimum=True, lambda_min=pair.value)
+        sphere_search(matrix, radius, lambda_min=pair.value)
         assert validations == []
 
     @pytest.mark.parametrize("power, walked", [(60, 1 << 60), (58, 2)])
@@ -119,9 +144,7 @@ class TestDerivedMatrices:
         matrix = CorrelationMatrix(np.eye(4, dtype=np.int64) << power)
         calls = counting_cholesky(monkeypatch)
         radius = float(4 << power)
-        walked_result = sphere_search(
-            matrix, radius, first_optimum=True, lambda_min=min_eigenpair(matrix).value
-        )
+        walked_result = sphere_search(matrix, radius, lambda_min=min_eigenpair(matrix).value)
         assert len(calls) == 1
         assert np.array_equal(calls[0], np.eye(4, dtype=np.int64) * walked)
         fixed = sphere_search(matrix, radius)

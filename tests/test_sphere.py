@@ -15,21 +15,19 @@ from sigforge import (
     InternalConsistencyError,
     Signature,
     SignatureSet,
-    cholesky,
     correlation_matrix,
     extend_set,
     hadamard_set,
     local_descent_baseline,
     min_eigenpair,
     ml_exhaustive,
-    q_decomposition,
     quadratic_metric,
     quantize_sign,
     radius_squared,
     sphere_search,
     tsc,
 )
-from sigforge.sphere import EXACT_SCAN_LIMIT, QDecomposition, analyse_step
+from sigforge.sphere import EXACT_SCAN_LIMIT, analyse_step
 
 
 def random_correlation(rng, length, k_hi_factor=3):
@@ -70,44 +68,6 @@ class TestRadius:
             assert c >= best
 
 
-class TestQDecomposition:
-    def test_scaled_identity(self):
-        factor = cholesky(correlation_matrix(hadamard_set(4)))  # U = 2I
-        q = q_decomposition(factor)
-        assert np.allclose(q.q_diag, 4.0)
-        assert np.all(q.q_upper == 0.0)
-
-    def test_hand_two_by_two(self):
-        from sigforge.linalg import CholeskyFactor
-
-        u = np.array([[math.sqrt(2.0), 1.0 / math.sqrt(2.0)], [0.0, math.sqrt(1.5)]])
-        q = q_decomposition(CholeskyFactor(entries=u))
-        assert q.q_diag == pytest.approx([2.0, 1.5])
-        assert q.q_upper[0, 1] == pytest.approx(0.5)
-
-    def test_weighted_square_reconstruction(self):
-        rng = np.random.default_rng(42)
-        for _ in range(10):
-            length = int(rng.integers(2, 11))
-            m = random_correlation(rng, length)
-            factor = cholesky(m)
-            q = q_decomposition(factor)
-            for _ in range(10):
-                s = rng.choice([-1, 1], size=length).astype(float)
-                direct = float(np.linalg.norm(factor.entries @ s) ** 2)
-                weighted = 0.0
-                for i in range(length):
-                    inner = s[i] + float(q.q_upper[i, i + 1 :] @ s[i + 1 :])
-                    weighted += float(q.q_diag[i]) * inner * inner
-                assert weighted == pytest.approx(direct, rel=1e-6)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            QDecomposition(q_diag=np.array([1.0, 0.0]), q_upper=np.zeros((2, 2)))
-        with pytest.raises(ValueError):
-            QDecomposition(q_diag=np.array([1.0, 1.0]), q_upper=np.eye(2))
-
-
 class TestSphereSearch:
     def test_identity_kernel_enumerates_everything(self):
         m = correlation_matrix(hadamard_set(4))
@@ -127,6 +87,9 @@ class TestSphereSearch:
         m = correlation_matrix(hadamard_set(2))  # all metrics are 4
         with pytest.raises(EmptySphere):
             sphere_search(m, 1.0)
+        # The first-optimum walk's dive (metric 4) seeds no answer either.
+        with pytest.raises(EmptySphere):
+            sphere_search(m, 1.0, lambda_min=2.0)
 
     def test_rejects_negative_radius(self):
         m = correlation_matrix(hadamard_set(2))
@@ -190,26 +153,6 @@ class TestSphereSearch:
             result = sphere_search(m, c)
             assert pair.value * length <= result.best_metric + 1e-6
             assert result.best_metric <= c * (1.0 + 1e-9)
-
-    def test_trace_recursive_updates(self):
-        rng = np.random.default_rng(48)
-        m = random_correlation(rng, 8)
-        result = sphere_search(m, paper_radius(m), collect_trace=True)
-        # The walk runs on the factor of R with its indices reversed.
-        factor = cholesky(m.entries[::-1, ::-1])
-        q = q_decomposition(factor)
-        budgets = {}
-        for state in result.trace:
-            budgets[state.partial] = state
-            if state.level == m.dim:
-                continue
-            parent = budgets[state.partial[1:]]
-            spent = float(q.q_diag[parent.level - 1]) * (
-                parent.delta + parent.partial[0]
-            ) ** 2
-            expected = parent.budget - spent
-            assert state.budget == pytest.approx(expected, rel=1e-12, abs=1e-18)
-            assert state.budget <= parent.budget + 1e-15
 
     def test_monotone_loading_along_chain(self):
         current = hadamard_set(4)
