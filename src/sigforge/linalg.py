@@ -58,7 +58,8 @@ class CholeskyFactor:
     """Upper-triangular U with U^T U equal to the (possibly jittered) input.
 
     ``jitter`` is the diagonal shift that was added before factoring
-    (0.0 when none was needed).
+    (0.0 when none was needed). Only ``cholesky`` builds one, so its shape
+    is not checked again here.
     """
 
     entries: np.ndarray
@@ -66,18 +67,8 @@ class CholeskyFactor:
 
     def __post_init__(self):
         u = np.asarray(self.entries, dtype=np.float64)
-        if u.ndim != 2 or u.shape[0] != u.shape[1]:
-            raise ValueError("factor must be square")
-        if np.any(np.tril(u, -1) != 0.0):
-            raise ValueError("factor must be upper triangular")
-        if np.any(np.diag(u) <= 0.0):
-            raise ValueError("factor diagonal must be strictly positive")
         u.setflags(write=False)
         object.__setattr__(self, "entries", u)
-
-    @property
-    def dim(self) -> int:
-        return int(self.entries.shape[0])
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,21 +1,22 @@
 """Sphere-decoder search over the antipodal cube {-1, +1}^L.
 
-The minimum of s^T R s is found by factoring R = U^T U, bounding each
-coordinate through the weighted-square form of ||U s||^2, and walking the
-resulting tree depth first. The radius comes from the sign-quantized minimum
+The minimum of s^T R s is found by factoring a form A = U^T U that ranks
+sign vectors as R does, bounding each coordinate through the
+weighted-square form of ||U s||^2, and walking the resulting tree depth
+first. The radius comes from the sign-quantized minimum
 eigenvector, which guarantees the true minimizer lies inside the sphere;
 every leaf is re-scored in exact integer arithmetic, so floating point can
 only ever admit extra leaves, never corrupt the argmin.
 
-Two walks share one iterative tree traversal of a factor with its indices
-reversed, which visits leaves in tie-break order, and one exact scorer,
+Two walks share one iterative tree traversal of A's factor with its
+indices reversed, which visits leaves in tie-break order, and one exact scorer,
 ``sigcore.quadratic_metric``. ``sphere_search``'s ``lambda_min`` selects
 the walk. Without it, the fixed-radius walk enumerates the whole ball of R.
 With it, the first-optimum walk, the one the extension pipeline runs,
 starts at its form's nearest-plane leaf, shrinks the radius after each exact
-improvement and stops at the eigenvalue floor it certifies. It walks one
-form: a shifted form that ranks sign vectors as R does when the floor
-allows it, R otherwise.
+improvement and stops at the eigenvalue floor it certifies. Both walk one
+form, A = L*R - (b-2)*I with b the certified floor or 0, which is
+positive definite.
 
 Also provides the exhaustive scan used as the optimality oracle and a plain
 single-bit-flip descent baseline for method comparisons.
@@ -32,7 +33,6 @@ import numpy as np
 from .bounds import BoundOverflow, fp_operation_bound
 from .linalg import CholeskyFactor, cholesky, min_eigenpair, quantize_sign
 from .sigcore import (
-    INT64_LIMIT,
     CorrelationMatrix,
     Signature,
     SignatureSet,
@@ -233,39 +233,36 @@ def sphere_search(
     radius: float,
     *,
     lambda_min: float | None = None,
-    factor: CholeskyFactor | None = None,
 ) -> SearchResult:
     """Depth-first search of {s : s_L = +1, s^T R s <= radius}.
 
     The last coordinate is pinned to +1 (negating s preserves the metric, so
-    nothing is lost). R is factored with its indices reversed, so s_1 is
-    fixed first and s_L last, +1 before -1, and leaves arrive in tie-break
-    order: lexicographic with +1 < -1. Every leaf is re-scored exactly by
-    ``quadratic_metric``, and the first leaf at the minimal metric is
-    returned.
+    nothing is lost). Both walks traverse A = L*R - (b-2)*I with its indices
+    reversed, so s_1 is fixed first and s_L last, +1 before -1, and leaves
+    arrive in tie-break order: lexicographic with +1 < -1. Every antipodal s
+    has s^T s = L, so s^T A s = L * s^T R s - (b-2) * L ranks leaves as R
+    does. Every leaf is re-scored exactly by ``quadratic_metric``, and the
+    first leaf at the minimal metric is returned.
+
+    b is ``certified_floor(matrix, lambda_min)``, or 0 when no
+    ``lambda_min`` is given or the floor cannot be certified. A semidefinite
+    R makes A >= 2I, and a certified b's certificate L*R - (b-1)*I > 0 makes
+    A > I, so A is factored without jitter.
 
     Without ``lambda_min`` the radius stays fixed for the whole walk and
     every candidate in the ball is enumerated into ``candidates``.
 
     With ``lambda_min`` (the first-optimum walk) the radius starts at the
-    smaller of ``radius`` and the exact metric of the walked form's
-    nearest-plane leaf, which seeds no answer. After each exact improvement
-    m it shrinks to m - 1; metrics are integers, so the first leaf reaching
-    the final metric is the lexicographically first optimum. The walk stops
-    at the first leaf meeting b = ``certified_floor(matrix, lambda_min)``,
-    and when b > 2 and L * sum |R_ij| < 2^63 it walks A = L*R - (b-2)*I
-    instead of R. Every antipodal s has s^T s = L, so s^T A s =
-    L * s^T R s - (b-2) * L ranks leaves as R does, and b's certificate
-    L*R - (b-1)*I > 0 makes A > I. A's ball is not nested in R's, so a
-    floored walk can visit more nodes than one on R; the answer is the
-    same. ``lambda_min=0.0`` is valid for every R (R is semidefinite): it
-    certifies b = 0 and walks R. This walk keeps no candidates;
+    smaller of ``radius`` and the exact metric of A's nearest-plane leaf,
+    which seeds no answer. After each exact improvement m it shrinks to
+    m - 1; metrics are integers, so the first leaf reaching the final metric
+    is the lexicographically first optimum. The walk stops at the first leaf
+    meeting a certified b. A's ball for b > 0 is not nested in the one for
+    b = 0, so a floored walk can visit more nodes than an unfloored one; the
+    answer is the same. ``lambda_min=0.0`` is valid for every R (R is
+    semidefinite): it certifies b = 0. This walk keeps no candidates;
     ``candidates_enumerated`` counts the leaves reached, ``ties`` is 1, and
     neither counts the dive.
-
-    ``factor``, the Cholesky factor of R with its indices reversed (as
-    ``StepAnalysis.factor`` holds it), only saves factoring R again when R
-    is the walked form; the result is the same with or without it.
 
     Raises EmptySphere when no candidate lies inside; with the quantized
     eigenvector radius that cannot happen.
@@ -273,19 +270,13 @@ def sphere_search(
     if not (radius >= 0.0):
         raise ValueError("radius must be >= 0")
     dim = matrix.dim
-    if factor is not None and factor.dim != dim:
-        raise ValueError(f"factor is {factor.dim} x {factor.dim}, R is {dim} x {dim}")
-    r = matrix.entries[::-1, ::-1]
     floor = certified_floor(matrix, lambda_min) if lambda_min is not None else None
-    # The walked form, with the integer map scale * m + offset from a leaf's
-    # metric m to its value under that form.
-    if floor is not None and floor > 2 and dim * matrix.abs_sum < INT64_LIMIT:
-        shift = floor - 2
-        entries = r * dim - shift * np.eye(dim, dtype=np.int64)
-        scale, offset, u = dim, -shift * dim, cholesky(entries)
-    else:
-        entries, scale, offset = r, 1, 0
-        u = factor if factor is not None else cholesky(r)
+    shift = (0 if floor is None else floor) - 2
+    # A in float64. Its constant diagonal L*K - (b-2), where the cancellation
+    # happens, is set from the exact Python integer.
+    entries = matrix.entries[::-1, ::-1] * float(dim)
+    np.fill_diagonal(entries, dim * matrix.k - shift)
+    u = cholesky(entries)
     # Weighted-square form of the factor: ||U x||^2 is the sum over i of
     # q_ii * (x_i + sum_{j>i} q_ij x_j)^2, with q_ii = u_ii^2, q_ij = u_ij / u_ii.
     d = np.diag(u.entries)
@@ -293,16 +284,17 @@ def sphere_search(
     q_upper = u.entries / d[:, np.newaxis]
     # rows[i] holds q_ij for j = L-1 down to i+1, aligned with the walk's path.
     rows = [q_upper[i, i + 1 :][::-1].tolist() for i in range(dim)]
-    # Jitter shifts every float form value up by jitter * L; widen the budget
-    # by the same amount so exact-metric membership is preserved.
+    # Jitter (only on an R that is not semidefinite) shifts every float form
+    # value up by jitter * L; widen the budget by the same amount so
+    # exact-metric membership is preserved.
     jitter = u.jitter * dim
     abs_slack = BUDGET_ABS_EPS * float(np.abs(entries).max()) * dim
 
     def cap_for(metric) -> float:
-        # The first-optimum walk passes integer metrics, so scale * m + offset
-        # is exact before it meets a float: the shifted form's value can be
-        # far smaller than either term.
-        return (scale * metric + offset + jitter) * (1.0 + RADIUS_EPS) + abs_slack
+        # The first-optimum walk passes integer metrics, so L * (m - (b-2))
+        # is exact before it meets a float: A's value can be far smaller
+        # than L * m.
+        return (dim * (metric - shift) + jitter) * (1.0 + RADIUS_EPS) + abs_slack
 
     candidates: list[tuple[Signature, int]] | None = [] if lambda_min is None else None
     start = float(radius)
@@ -457,8 +449,8 @@ class StepAnalysis:
 
     R, its minimum eigenvalue, the sign-quantized eigenvector and its exact
     metric (the search radius), the Cholesky factor of R with its indices
-    reversed, which the first-optimum walk reuses when it walks R, and from
-    it the operation bound and whether jitter was needed.
+    reversed, and from that factor the operation bound and whether jitter
+    was needed. The first-optimum walk factors its own shifted form.
     """
 
     matrix: CorrelationMatrix
@@ -477,14 +469,8 @@ class StepAnalysis:
         return self.factor.jitter > 0.0
 
     def first_optimum(self) -> SearchResult:
-        """The optimal extension by the first-optimum sphere walk, on the
-        analysed factor."""
-        return sphere_search(
-            self.matrix,
-            self.radius,
-            lambda_min=self.lambda_min,
-            factor=self.factor,
-        )
+        """The optimal extension by the first-optimum sphere walk."""
+        return sphere_search(self.matrix, self.radius, lambda_min=self.lambda_min)
 
 
 def analyse_step(signature_set: SignatureSet) -> StepAnalysis:

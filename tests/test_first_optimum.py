@@ -15,7 +15,6 @@ from sigforge import (
     Signature,
     SignatureSet,
     certified_floor,
-    cholesky,
     correlation_matrix,
     hadamard_set,
     min_eigenpair,
@@ -66,7 +65,8 @@ def repeated_row_sets(draw):
 
 @st.composite
 def underloaded_sets(draw):
-    """K < L: R is singular, so the factorization takes the jitter path."""
+    """K < L: R is singular, so the step analysis' factor of R takes the
+    jitter path; the walks factor L*R + 2I, or the floored form, without it."""
     length = draw(st.integers(2, 12))
     return SignatureSet.from_rows(draw(rows_of(length, draw(st.integers(1, length - 1)))))
 
@@ -80,7 +80,8 @@ def assert_first_optimum_is_exact(signature_set):
     pair = min_eigenpair(matrix)
     radius = radius_squared(matrix, quantize_sign(pair.vector))
     first = sphere_search(matrix, radius, lambda_min=pair.value)
-    # A floor of 0 holds for every R, so lambda_min=0.0 walks R itself.
+    # A floor of 0 holds for every R, so lambda_min=0.0 walks L*R + 2I, the
+    # fixed-radius walk's form.
     unfloored = sphere_search(matrix, radius, lambda_min=0.0)
     fixed = sphere_search(matrix, radius)
     scan = ml_exhaustive(matrix)
@@ -93,12 +94,6 @@ def assert_first_optimum_is_exact(signature_set):
     assert unfloored.nodes_visited <= fixed.nodes_visited
     floor = certified_floor(matrix, pair.value)
     assert floor is None or floor <= scan.best_metric
-    # A given factor of the reversed R only skips factoring it again, in
-    # every mode and through the pipeline, which hands over the analysed one.
-    factor = cholesky(matrix.entries[::-1, ::-1])
-    modes = ({"lambda_min": pair.value}, {"lambda_min": 0.0}, {})
-    for result, mode in zip((first, unfloored, fixed), modes):
-        assert fields_of(sphere_search(matrix, radius, factor=factor, **mode)) == fields_of(result)
     assert fields_of(analyse_step(signature_set).first_optimum()) == fields_of(first)
 
 
@@ -171,11 +166,6 @@ class TestIterativeWalk:
         assert tuple(result.best) == (1,) * length
         assert result.nodes_visited == length  # the first leaf meets the floor
 
-    def test_mode_arguments_checked(self):
-        m = correlation_matrix(hadamard_set(4))
-        with pytest.raises(ValueError, match="factor"):
-            sphere_search(m, 16.0, factor=cholesky(correlation_matrix(hadamard_set(8))))
-
 
 @pytest.fixture(scope="module")
 def reference_chain():
@@ -194,8 +184,8 @@ class TestReferenceChain:
         assert total < FIXED_RADIUS_CHAIN_NODES
 
     def test_two_factorizations_per_step(self, monkeypatch):
-        # One of R (in the step analysis, reused by the walk) and one of the
-        # shifted form, which every step of this chain walks (its floor is 256).
+        # One of R in the step analysis, for fp_bound and the jitter flag, and
+        # one of the walked form L*R - (b-2)*I (b is 256 on every step).
         calls = []
         original = sigforge.sphere.cholesky
 

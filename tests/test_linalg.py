@@ -24,7 +24,6 @@ from sigforge import (
     upscale_chain,
 )
 from sigforge.cli import main
-from sigforge.linalg import CholeskyFactor
 
 RECON_TOL = 1e-8
 
@@ -79,12 +78,6 @@ class TestCholesky:
         bad = CorrelationMatrix(entries=np.array([[1, 3], [3, 1]], dtype=np.int64))
         with pytest.raises(SingularMatrix):
             cholesky(bad)
-
-    def test_factor_validation(self):
-        with pytest.raises(ValueError):
-            CholeskyFactor(entries=np.array([[1.0, 0.0], [2.0, 1.0]]))  # lower junk
-        with pytest.raises(ValueError):
-            CholeskyFactor(entries=np.array([[1.0, 0.0], [0.0, -1.0]]))  # bad diag
 
 
 class TestMinEigenpair:

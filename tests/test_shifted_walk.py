@@ -11,6 +11,7 @@ from sigforge import (
     CorrelationMatrix,
     SignatureSet,
     certified_floor,
+    cholesky,
     correlation_matrix,
     hadamard_set,
     min_eigenpair,
@@ -51,9 +52,9 @@ def walks(matrix):
 
 
 class TestBothBoundsNest:
-    """The floored walk prunes with the shifted form alone, so only the
-    unfloored walk, on R's own ball, nests in the fixed-radius walk; every
-    walk returns the scan's answer."""
+    """The floored walk prunes with its own shifted form, so only the
+    unfloored walk, which traverses the fixed-radius walk's form L*R + 2I,
+    nests in the fixed-radius walk; every walk returns the scan's answer."""
 
     def test_pinned_instance_where_the_shift_alone_is_not_nested(self):
         matrix = correlation_matrix(parse(NESTING_ROWS))
@@ -136,28 +137,34 @@ class TestDerivedMatrices:
         sphere_search(matrix, radius, lambda_min=pair.value)
         assert validations == []
 
-    @pytest.mark.parametrize("power, walked", [(60, 1 << 60), (58, 2)])
-    def test_shifted_form_only_within_int64(self, power, walked, monkeypatch):
-        # L * sum |R_ij| is 2^64 for 2^60 I_4 and 2^62 for 2^58 I_4. The
+    @pytest.mark.parametrize("power", [58, 60])
+    def test_shifted_form_beyond_int64(self, power, monkeypatch):
+        # L * sum |R_ij| is 2^62 for 2^58 I_4 and 2^64 for 2^60 I_4. The
         # floor is 4 * 2^power, so the shifted form 4R - (floor - 2) I is 2 I_4;
-        # beyond the int64 guard the walk factors R itself.
+        # its diagonal is set from exact integers, so no int64 bound applies.
         matrix = CorrelationMatrix(np.eye(4, dtype=np.int64) << power)
         calls = counting_cholesky(monkeypatch)
         radius = float(4 << power)
-        walked_result = sphere_search(matrix, radius, lambda_min=min_eigenpair(matrix).value)
+        walked = sphere_search(matrix, radius, lambda_min=min_eigenpair(matrix).value)
         assert len(calls) == 1
-        assert np.array_equal(calls[0], np.eye(4, dtype=np.int64) * walked)
+        assert np.array_equal(calls[0], 2 * np.eye(4))
         fixed = sphere_search(matrix, radius)
-        assert (walked_result.best, walked_result.best_metric) == (fixed.best, fixed.best_metric)
+        assert (walked.best, walked.best_metric) == (fixed.best, fixed.best_metric)
 
-    def test_no_floor_walks_the_analysed_factor(self, monkeypatch):
-        # K < L: R is singular and its certified floor is 0, so the walk runs
-        # on R's factor from the step analysis and factors nothing itself.
+    def test_no_floor_walks_l_r_plus_2i(self, monkeypatch):
+        # K < L: R is singular, so the analysed factor of R is jittered, and
+        # the certified floor is 0. The walk factors the index-reversed
+        # L*R + 2I, which needs no jitter.
         step = analyse_step(parse(NESTING_ROWS[:5]))
+        assert step.jitter_applied
         assert certified_floor(step.matrix, step.lambda_min) == 0
         calls = counting_cholesky(monkeypatch)
         result = step.first_optimum()
-        assert calls == []
+        assert len(calls) == 1
+        length = step.matrix.dim
+        expected = length * step.matrix.entries[::-1, ::-1] + 2 * np.eye(length)
+        assert np.array_equal(calls[0], expected)
+        assert cholesky(calls[0]).jitter == 0.0
         scan = ml_exhaustive(step.matrix)
         assert (result.best, result.best_metric) == (scan.best, scan.best_metric)
 

@@ -111,9 +111,15 @@ class TestSphereSearch:
 
     def test_candidate_list_is_exactly_the_ball(self):
         rng = np.random.default_rng(44)
+        matrices = [random_correlation(rng, int(rng.integers(2, 11))) for _ in range(40)]
+        # K < L: R is singular.
+        rng = np.random.default_rng(49)
         for _ in range(40):
             length = int(rng.integers(2, 11))
-            m = random_correlation(rng, length)
+            rows = rng.choice([-1, 1], size=(int(rng.integers(1, length)), length))
+            matrices.append(correlation_matrix(SignatureSet.from_rows(rows.tolist())))
+        for m in matrices:
+            length = m.dim
             c = paper_radius(m)
             result = sphere_search(m, c)
             enumerated = {tuple(s) for s, _ in result.candidates}
