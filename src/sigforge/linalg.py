@@ -1,12 +1,15 @@
-"""Dense symmetric numerical kernel: Cholesky factorization with a jitter
-fallback for singular inputs, the minimum eigenpair by one ``eigh`` call and
-a canonical choice within its eigenspace, and antipodal sign quantization.
+"""Dense symmetric numerical kernel: a LAPACK Cholesky factor gated by a
+pivot floor, with one jitter retry for singular inputs; the minimum
+eigenpair by one ``eigh`` call and a canonical choice within its eigenspace;
+and antipodal sign quantization.
 
 Everything here is deterministic: fixed thresholds, no randomized pivoting,
 and an eigenpair whose value and quantized signs do not depend on the basis
-or rounding of the LAPACK build that ``eigh`` runs on. Downstream exact
-integer re-scoring protects search results from the floating point done in
-this module.
+or rounding of the LAPACK build that ``eigh`` runs on. The Cholesky factor
+is LAPACK's own, so its last bits may differ between builds; whether jitter
+is needed is decided by the pivot floor, which the tests check against
+exact singularity on +-1 sets. Downstream exact integer re-scoring protects
+search results from the floating point done in this module.
 """
 
 from __future__ import annotations
@@ -84,41 +87,29 @@ class EigenPair:
         object.__setattr__(self, "vector", v)
 
 
-def _factor_upper(a: np.ndarray, pivot_floor: float):
-    """Row-by-row upper Cholesky; returns (U, None) or (None, failing pivot)."""
-    n = a.shape[0]
-    u = np.zeros_like(a)
-    for i in range(n):
-        pivot = a[i, i] - u[:i, i] @ u[:i, i]
-        if pivot < pivot_floor:
-            return None, float(pivot)
-        u[i, i] = math.sqrt(pivot)
-        if i + 1 < n:
-            u[i, i + 1 :] = (a[i, i + 1 :] - u[:i, i] @ u[:i, i + 1 :]) / u[i, i]
-    return u, None
-
-
 def cholesky(matrix: CorrelationMatrix | np.ndarray) -> CholeskyFactor:
     """Factor R, or a square array derived from a validated R, as U^T U with
-    U upper triangular.
+    U upper triangular, by LAPACK (``numpy.linalg.cholesky``).
 
-    If a pivot falls below 1e-9 times the first diagonal entry (K for R:
-    singular or nearly so), adds that much jitter to the diagonal and
-    refactors once; the second pass accepts pivots down to half the floor to
-    absorb rounding. Raises SingularMatrix if the jittered pass still fails,
-    which means the input was not positive semidefinite.
+    The factor is accepted only if every pivot u_ii^2 is at least 1e-9 times
+    the first diagonal entry (K for R). Otherwise (singular or nearly so, or
+    LAPACK found a pivot <= 0) that much jitter is added to the diagonal and
+    the input refactored once; the second pass accepts pivots down to half
+    the floor to absorb rounding. Raises SingularMatrix if the jittered pass
+    still fails, which means the input was not positive semidefinite.
     """
     a = (matrix.entries if isinstance(matrix, CorrelationMatrix) else matrix).astype(np.float64)
     floor = PIVOT_FLOOR_COEFF * float(a[0, 0])
-    u, _ = _factor_upper(a, floor)
-    if u is not None:
-        return CholeskyFactor(entries=u, jitter=0.0)
-    u, bad = _factor_upper(a + floor * np.eye(a.shape[0]), 0.5 * floor)
-    if u is None:
-        raise SingularMatrix(
-            f"pivot {bad:.3e} at/below floor {floor:.3e} even after diagonal jitter"
-        )
-    return CholeskyFactor(entries=u, jitter=floor)
+    identity = np.eye(a.shape[0])
+    for jitter, accept in ((0.0, floor), (floor, 0.5 * floor)):
+        try:
+            lower = np.linalg.cholesky(a + jitter * identity)
+        except LinAlgError:
+            continue
+        # LAPACK accepts any pivot > 0; the floor is enforced here.
+        if float(np.diag(lower).min()) ** 2 >= accept:
+            return CholeskyFactor(entries=lower.T, jitter=jitter)
+    raise SingularMatrix(f"a pivot fell below floor {floor:.3e} even after diagonal jitter")
 
 
 def _signs(columns: np.ndarray) -> np.ndarray:

@@ -1,6 +1,7 @@
-"""Hand-rolled Cholesky against numpy oracles, and the canonical minimum
-eigenpair against the eigensolver it runs on: its value and quantized point
-do not change when ``eigh`` sees R in another index order."""
+"""The gated LAPACK Cholesky factor against its pivot floor and exact
+singularity, and the canonical minimum eigenpair against the eigensolver it
+runs on: its value and quantized point do not change when ``eigh`` sees R in
+another index order."""
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from sigforge import (
     upscale_chain,
 )
 from sigforge.cli import main
+from sigforge.sphere import _positive_definite, analyse_step
 
 RECON_TOL = 1e-8
 
@@ -71,6 +73,30 @@ class TestCholesky:
         assert factor.jitter == pytest.approx(1e-9 * 2)
         rebuilt = factor.entries.T @ factor.entries
         assert np.allclose(rebuilt, m.entries + factor.jitter * np.eye(2), atol=1e-12)
+
+    def test_floor_rejects_a_pivot_lapack_accepts(self):
+        # LAPACK factors this (second pivot about 1e-12 > 0), but that pivot
+        # is below the floor 1e-9, so the factor of the jittered input is used.
+        a = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-12]])
+        factor = cholesky(a)
+        assert factor.jitter == 1e-9
+        rebuilt = factor.entries.T @ factor.entries
+        assert np.abs(rebuilt - (a + 1e-9 * np.eye(2))).max() <= 1e-12
+
+    def test_jitter_exactly_when_singular(self):
+        # On +-1 sets the pivot floor decides singularity exactly: jitter is
+        # applied iff exact elimination finds R not positive definite.
+        rng = np.random.default_rng(27)
+        for length in range(1, 17):
+            for k in range(1, 2 * length + 2):
+                rows = rng.choice([-1, 1], size=(k, length)).tolist()
+                sets = [rows]
+                if k > 1:
+                    sets.append(rows[:-1] + [[-chip for chip in rows[0]]])
+                for chosen in sets:
+                    step = analyse_step(SignatureSet.from_rows(chosen))
+                    singular = not _positive_definite(step.matrix.entries.tolist())
+                    assert step.jitter_applied == singular, (length, k)
 
     def test_indefinite_matrix_rejected(self):
         # Symmetric, constant diagonal, integer: passes type validation but
