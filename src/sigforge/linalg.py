@@ -149,8 +149,9 @@ def min_eigenpair(matrix: CorrelationMatrix) -> EigenPair:
     """
     entries = matrix.entries
     n = matrix.dim
+    dense = entries.astype(np.float64)
     try:
-        values, vectors = eigh(entries.astype(np.float64))
+        values, vectors = eigh(dense)
     except LinAlgError as exc:
         raise EigenFailure(f"eigh failed: {exc}", residual=math.inf) from exc
     max_entry = float(np.abs(entries).max())
@@ -161,8 +162,11 @@ def min_eigenpair(matrix: CorrelationMatrix) -> EigenPair:
     norms = np.sqrt((candidates * candidates).sum(axis=0))
     keep = norms > math.sqrt(EIGEN_TOL)
     candidates = candidates[:, keep] / norms[keep]
-    signs = _signs(candidates)
-    vector = candidates[:, int(np.argmin((signs * (entries @ signs)).sum(axis=0)))]
+    # A float64 product runs on BLAS; every partial sum s^T R s is an integer
+    # of magnitude at most sum |R_ij|, so it is exact below 2^53.
+    form = dense if matrix.abs_sum < 1 << 53 else entries
+    signs = _signs(candidates).astype(form.dtype)
+    vector = candidates[:, int(np.argmin((signs * (form @ signs)).sum(axis=0)))]
     value = round(_exact_rayleigh(entries, vector), 12)
 
     residual = float(np.sqrt(((entries @ vector - value * vector) ** 2).sum()))

@@ -3,20 +3,21 @@
 The minimum of s^T R s is found by factoring a form A = U^T U that ranks
 sign vectors as R does, bounding each coordinate through the
 weighted-square form of ||U s||^2, and walking the resulting tree depth
-first. The radius comes from the sign-quantized minimum
+first in numpy blocks. The radius comes from the sign-quantized minimum
 eigenvector, which guarantees the true minimizer lies inside the sphere;
 every leaf is re-scored in exact integer arithmetic, so floating point can
 only ever admit extra leaves, never corrupt the argmin.
 
-Two walks share one iterative tree traversal of A's factor with its
-indices reversed, which visits leaves in tie-break order, and one exact scorer,
+Two walks share one block traversal of A's factor with its indices
+reversed, which visits leaves in tie-break order and counts nodes as a
+plain depth-first walk would, and one exact scorer,
 ``sigcore.quadratic_metric``. ``sphere_search``'s ``lambda_min`` selects
 the walk. Without it, the fixed-radius walk enumerates the whole ball of R.
 With it, the first-optimum walk, the one the extension pipeline runs,
 starts at its form's nearest-plane leaf, shrinks the radius after each exact
-improvement and stops at the eigenvalue floor it certifies. Both walk one
-form, A = L*R - (b-2)*I with b the certified floor or 0, which is
-positive definite.
+improvement and stops at the eigenvalue floor, which it certifies only when
+a leaf reaches it. Both walk one positive definite form, A = L*R - (b-2)*I
+with b the proposed floor or 0.
 
 Also provides the exhaustive scan used as the optimality oracle and a plain
 single-bit-flip descent baseline for method comparisons.
@@ -24,6 +25,7 @@ single-bit-flip descent baseline for method comparisons.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from operator import mul
@@ -31,7 +33,7 @@ from operator import mul
 import numpy as np
 
 from .bounds import BoundOverflow, fp_operation_bound
-from .linalg import CholeskyFactor, cholesky, min_eigenpair, quantize_sign
+from .linalg import CholeskyFactor, SingularMatrix, cholesky, min_eigenpair, quantize_sign
 from .sigcore import (
     CorrelationMatrix,
     Signature,
@@ -72,6 +74,10 @@ DEFAULT_ML_CAP = 24
 EXACT_SCAN_LIMIT = 1 << 53
 # Float64 entries per block of the exhaustive scan (2 MB).
 _BLOCK = 1 << 18
+# Rows per block of the sphere walk: fewer where the open blocks, up to
+# 2 * rows * L^2 float64 entries, would pass 2 * _WALK_ENTRIES (16 MB).
+WALK_BLOCK_ROWS = 256
+_WALK_ENTRIES = 1 << 20
 
 
 class EmptySphere(RuntimeError):
@@ -175,57 +181,14 @@ def certified_floor(matrix: CorrelationMatrix, lambda_min: float) -> int | None:
     return None
 
 
-def _nearest_plane(rows: list) -> list[int]:
+def _nearest_plane(weights: np.ndarray) -> list[int]:
     """Babai's nearest-plane leaf of a form, as (x_L, ..., x_1): one O(L^2)
-    path taking at each level the sign closest to -delta, +1 on a tie."""
+    path taking at each level the sign closest to -delta, +1 on a tie.
+    ``weights`` is laid out as ``sphere_search`` lays it out."""
     path: list[int] = []
-    for row in reversed(rows):
-        path.append(1 if sum(map(mul, row, path)) <= 0.0 else -1)
+    for row in weights[::-1]:
+        path.append(1 if sum(map(mul, row[: len(path)].tolist(), path)) <= 0.0 else -1)
     return path
-
-
-def _walk(q_diag: list, rows: list, cap: float, on_leaf) -> int:
-    """Iterative depth-first walk of {x : ||U x||^2 <= cap} over the cube,
-    in factor order: x_L first, x_1 at the leaves, +1 before -1.
-
-    ``q_diag`` and ``rows`` are the form's weighted-square terms as
-    ``sphere_search`` lays them out. The leaf coordinate x_1 takes +1 only.
-    ``on_leaf(values, cap)`` receives each admitted leaf as a list
-    (x_L, ..., x_1) and returns the cap for the rest of the walk, or None to
-    stop. Returns the number of admitted nodes.
-    """
-    n = len(q_diag)
-    path: list[int] = []
-    used = [0.0] * n
-    delta = [0.0] * n
-    todo = [0] * n  # next value to try per level; 0 once both are done
-    level = n - 1
-    todo[level] = 1
-    nodes = 0
-    while True:
-        value = todo[level]
-        if value == 0:
-            level += 1
-            if level == n:
-                return nodes
-            path.pop()
-            continue
-        todo[level] = -1 if value == 1 and level else 0
-        offset = delta[level] + value
-        spent = used[level] + q_diag[level] * offset * offset
-        if spent > cap:
-            continue
-        nodes += 1
-        if level == 0:
-            cap = on_leaf(path + [value], cap)
-            if cap is None:
-                return nodes
-            continue
-        path.append(value)
-        level -= 1
-        used[level] = spent
-        delta[level] = sum(map(mul, rows[level], path))
-        todo[level] = 1
 
 
 def sphere_search(
@@ -244,10 +207,22 @@ def sphere_search(
     does. Every leaf is re-scored exactly by ``quadratic_metric``, and the
     first leaf at the minimal metric is returned.
 
-    b is ``certified_floor(matrix, lambda_min)``, or 0 when no
-    ``lambda_min`` is given or the floor cannot be certified. A semidefinite
-    R makes A >= 2I, and a certified b's certificate L*R - (b-1)*I > 0 makes
-    A > I, so A is factored without jitter.
+    b is the proposal ceil(lambda_min * L), or 0 when no ``lambda_min`` is
+    given or A for the proposal needs jitter (L*R + 2I >= 2I never does).
+    Any A that factors ranks leaves as R does; only a floor proven by
+    ``certified_floor``, asked once a leaf's exact metric reaches the
+    proposal, stops the walk.
+
+    The tree is expanded in blocks: a block is a lexicographically ordered
+    run of admitted nodes at one level, and one matrix-vector product scores
+    both children of all its rows. Children go out in chunks of at most
+    ``WALK_BLOCK_ROWS`` rows (fewer when L^2 is large), the first expanded
+    next, and a chunk drops its rows above the cap when it is taken. Leaves
+    are taken one at a time with the running cap. Blocks admit a superset
+    of the depth-first walk's nodes in the same order, so the leaves are
+    the same, and ``nodes_visited`` is the depth-first count: when a leaf
+    lowers the cap or stops the walk, every open block re-counts its rows
+    after the leaf's ancestor against the new cap.
 
     Without ``lambda_min`` the radius stays fixed for the whole walk and
     every candidate in the ball is enumerated into ``candidates``.
@@ -257,9 +232,9 @@ def sphere_search(
     which seeds no answer. After each exact improvement m it shrinks to
     m - 1; metrics are integers, so the first leaf reaching the final metric
     is the lexicographically first optimum. The walk stops at the first leaf
-    meeting a certified b. A's ball for b > 0 is not nested in the one for
-    b = 0, so a floored walk can visit more nodes than an unfloored one; the
-    answer is the same. ``lambda_min=0.0`` is valid for every R (R is
+    meeting the proven floor. A's ball for b > 0 is not nested in the one
+    for b = 0, so a floored walk can visit more nodes than an unfloored one;
+    the answer is the same. ``lambda_min=0.0`` is valid for every R (R is
     semidefinite): it certifies b = 0. This walk keeps no candidates;
     ``candidates_enumerated`` counts the leaves reached, ``ties`` is 1, and
     neither counts the dive.
@@ -270,25 +245,34 @@ def sphere_search(
     if not (radius >= 0.0):
         raise ValueError("radius must be >= 0")
     dim = matrix.dim
-    floor = certified_floor(matrix, lambda_min) if lambda_min is not None else None
-    shift = (0 if floor is None else floor) - 2
+    bound = math.nan if lambda_min is None else lambda_min * dim
+    proposal = math.ceil(bound) if math.isfinite(bound) else None
+    shift = -2 if proposal is None else proposal - 2
     # A in float64. Its constant diagonal L*K - (b-2), where the cancellation
     # happens, is set from the exact Python integer.
     entries = matrix.entries[::-1, ::-1] * float(dim)
     np.fill_diagonal(entries, dim * matrix.k - shift)
-    u = cholesky(entries)
+    try:
+        u = cholesky(entries)
+    except SingularMatrix:
+        u = None
+    if u is None or u.jitter:
+        shift = -2
+        np.fill_diagonal(entries, dim * matrix.k - shift)
+        u = cholesky(entries)
     # Weighted-square form of the factor: ||U x||^2 is the sum over i of
     # q_ii * (x_i + sum_{j>i} q_ij x_j)^2, with q_ii = u_ii^2, q_ij = u_ij / u_ii.
+    # weights[i, :L-1-i] holds q_ij for j = L-1 down to i+1, aligned with a
+    # node's signs (x_L, ...).
     d = np.diag(u.entries)
     q_diag = (d * d).tolist()
-    q_upper = u.entries / d[:, np.newaxis]
-    # rows[i] holds q_ij for j = L-1 down to i+1, aligned with the walk's path.
-    rows = [q_upper[i, i + 1 :][::-1].tolist() for i in range(dim)]
-    # Jitter (only on an R that is not semidefinite) shifts every float form
+    weights = u.entries[:, ::-1] / d[:, np.newaxis]
+    # Jitter (only on L*R + 2I, which is >= 2I) shifts every float form
     # value up by jitter * L; widen the budget by the same amount so
     # exact-metric membership is preserved.
     jitter = u.jitter * dim
     abs_slack = BUDGET_ABS_EPS * float(np.abs(entries).max()) * dim
+    del entries, u, d  # the walk holds only the weights (d views the factor)
 
     def cap_for(metric) -> float:
         # The first-optimum walk passes integer metrics, so L * (m - (b-2))
@@ -299,29 +283,80 @@ def sphere_search(
     candidates: list[tuple[Signature, int]] | None = [] if lambda_min is None else None
     start = float(radius)
     if candidates is None:
-        start = quadratic_metric(matrix, Signature(tuple(_nearest_plane(rows))))
+        start = quadratic_metric(matrix, Signature(tuple(_nearest_plane(weights))))
         if radius < start:
             start = math.floor(radius)
     best: Signature | None = None
     best_metric: int | None = None
-    leaves = 0
+    certify = functools.cache(functools.partial(certified_floor, matrix, lambda_min))
+    cap = cap_for(start)
+    signs = np.array([1.0, -1.0])
 
-    def on_leaf(values, cap):
-        # Leaves arrive in tie-break order, so an equal metric never wins.
-        nonlocal best, best_metric, leaves
-        leaves += 1
-        signature = Signature(tuple(values))
-        exact = quadratic_metric(matrix, signature)
-        if candidates is not None:
-            candidates.append((signature, exact))
-        if best_metric is not None and exact >= best_metric:
-            return cap
-        best, best_metric = signature, exact
-        if floor is not None and exact <= floor:
-            return None
-        return cap if candidates is not None else cap_for(exact - 1)
+    def expand(level, prefix, spent):
+        """Children at level - 1 of a block's rows inside the cap, parent-major
+        with +1 first (the last level takes +1 only): their signs, spent
+        budgets, parent rows and the cap they were admitted with."""
+        width = dim - level
+        values = signs[: 1 if level == 1 else 2]
+        offset = np.add.outer(prefix[:, :width] @ weights[level - 1, :width], values)
+        child = (spent[:, np.newaxis] + q_diag[level - 1] * offset * offset).ravel()
+        flat = (child <= cap).nonzero()[0]
+        up = flat // len(values)
+        kids = prefix.take(up, axis=0)
+        kids[:, width] = values[flat % len(values)]
+        return kids, child[flat], up, cap
 
-    nodes = _walk(q_diag, rows, cap_for(start), on_leaf)
+    rows_per_block = max(1, min(WALK_BLOCK_ROWS, _WALK_ENTRIES // (dim * dim)))
+    nodes = leaves = 0
+    # The open blocks on the current path, the root's one empty row first.
+    # Each is [spent, parent rows, (row, cap) events, children, next child];
+    # a row holds a node's signs (x_L, ...), zero past its level.
+    blocks = [[None, None, [], expand(dim, np.zeros((1, dim)), np.zeros(1)), 0]]
+    while blocks:
+        block = blocks[-1]
+        spent_rows, _, events, (kids, kid_spent, kid_up, admitted), first = block
+        if first >= len(kid_spent):
+            blocks.pop()
+            # The depth-first walk meets row i + 1 on with the cap that a leaf
+            # below row i set.
+            if events:
+                caps = np.full(len(spent_rows), math.inf)
+                for row, lowered in events:
+                    caps[row + 1 :] = lowered
+                nodes -= int(np.count_nonzero(spent_rows > caps))
+            continue
+        block[4] = last = first + rows_per_block
+        prefix, spent, up = kids[first:last], kid_spent[first:last], kid_up[first:last]
+        level = dim - len(blocks)
+        if level:
+            if cap < admitted:
+                keep = (spent <= cap).nonzero()[0]
+                prefix, spent, up = prefix[keep], spent[keep], up[keep]
+            nodes += len(spent)
+            if len(spent):
+                blocks.append([spent, up, [], expand(level, prefix, spent), 0])
+            continue
+        for values, value, row in zip(prefix.astype(np.int64).tolist(), spent.tolist(), up.tolist()):
+            if value > cap:
+                continue
+            nodes += 1
+            leaves += 1
+            signature = Signature(tuple(values))
+            exact = quadratic_metric(matrix, signature)
+            if candidates is not None:
+                candidates.append((signature, exact))
+            # Leaves arrive in tie-break order, so an equal metric never wins.
+            if best_metric is not None and exact >= best_metric:
+                continue
+            best, best_metric = signature, exact
+            if candidates is not None:
+                continue
+            floor = certify() if proposal is not None and exact <= proposal else None
+            # A proven floor stops the walk: no node after this leaf fits a cap of -inf.
+            cap = -math.inf if floor is not None and exact <= floor else cap_for(exact - 1)
+            for _, up_rows, events, _, _ in blocks[:0:-1]:  # innermost first
+                events.append((row, cap))
+                row = up_rows[row]
     if best is None:
         raise EmptySphere(
             f"no antipodal point within squared radius {radius!r} (L={dim})"

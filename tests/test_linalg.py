@@ -3,6 +3,8 @@ singularity, and the canonical minimum eigenpair against the eigensolver it
 runs on: its value and quantized point do not change when ``eigh`` sees R in
 another index order."""
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -167,6 +169,26 @@ class TestMinEigenpair:
         pair = min_eigenpair(correlation_matrix(hadamard_set(4)))
         with pytest.raises(ValueError):
             pair.vector[0] = 5.0
+
+    def test_float_scoring_picks_the_int64_choice(self):
+        # Below sum |R_ij| = 2^53 the candidates are scored by a float64
+        # product; the same matrix claiming a sum of 2^53 takes the int64
+        # one. Repeated rows and Hadamard sets give wide eigenspaces, so
+        # many candidates tie and the first-on-ties rule is exercised.
+        rng = np.random.default_rng(515)
+        matrices = [correlation_matrix(hadamard_set(n)) for n in (4, 8, 16, 32)]
+        for _ in range(150):
+            length = int(rng.integers(1, 25))
+            rows = rng.choice([-1, 1], size=(int(rng.integers(1, 2 * length + 2)), length))
+            rows[: len(rows) // 2] = rows[0]
+            matrices.append(correlation_matrix(SignatureSet.from_rows(rows.tolist())))
+        for matrix in matrices:
+            assert matrix.abs_sum < 1 << 53
+            wide = copy.copy(matrix)
+            object.__setattr__(wide, "abs_sum", 1 << 53)
+            float_pair, int_pair = min_eigenpair(matrix), min_eigenpair(wide)
+            assert float_pair.value == int_pair.value
+            assert np.array_equal(float_pair.vector, int_pair.vector)
 
 
 def rows_of(length, count):
