@@ -94,7 +94,7 @@ def _cmd_bound(args) -> int:
     return 0
 
 
-def _print_record(record, agreement) -> None:
+def _print_record(record) -> None:
     print(f"method {_METHOD_LABELS[record.method]}")
     print(f"k_before {record.k_before}")
     print(f"k_after {record.k_after}")
@@ -111,13 +111,13 @@ def _print_record(record, agreement) -> None:
     print(f"welch_after {record.welch_after.value}")
     print(f"binary_bound_after {record.binary_bound_after.value} "
           f"({record.binary_bound_after.kind})")
-    print(f"audit {'skipped' if agreement is None else 'pass'}")
+    print(f"audit {'skipped' if record.audit_agreement is None else 'pass'}")
 
 
 def _cmd_extend(args) -> int:
     loaded = load_set(args.set_file)
-    extended, record, agreement = extend_once(loaded, args.method, audit=args.audit)
-    _print_record(record, agreement)
+    extended, record, _ = extend_once(loaded, args.method, audit=args.audit)
+    _print_record(record)
     if args.save_set:
         save_set(extended, args.save_set)
         print(f"saved {args.save_set}")
@@ -138,9 +138,10 @@ def _resolve_start(args, default_hadamard: int | None):
 def _cmd_chain(args) -> int:
     start = _resolve_start(args, default_hadamard=None)
     report = upscale_chain(start, args.target, args.method, audit=args.audit)
-    for step, (record, agreement) in enumerate(zip(report.records, report.audit), start=1):
+    for step, record in enumerate(report.records, start=1):
+        audit = "skipped" if record.audit_agreement is None else "pass"
         print(f"step {step}  k_after {record.k_after}  metric {record.metric}  "
-              f"tsc_after {record.tsc_after}  audit {'skipped' if agreement is None else 'pass'}")
+              f"tsc_after {record.tsc_after}  audit {audit}")
     final = report.final_set
     print(f"final k {final.k}")
     print(f"final tsc {report.records[-1].tsc_after}")

@@ -111,10 +111,15 @@ class ExtensionRecord:
     jitter_applied: bool
     welch_after: BoundValue
     binary_bound_after: BoundValue
+    audit_agreement: bool | None = None  # True: sd and ml agreed; None: unaudited
 
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method tag {self.method!r}")
+        if self.audit_agreement is not True and self.audit_agreement is not None:
+            raise ValueError(
+                f"audit_agreement must be True or None, got {self.audit_agreement!r}"
+            )
         expected = tsc_increment(self.tsc_before, self.metric, self.length)
         if self.tsc_after != expected:
             raise InternalConsistencyError(
@@ -134,23 +139,15 @@ class ExtensionRecord:
 
 @dataclass(frozen=True)
 class ChainReport:
-    """Consecutive one-by-one extensions from a fixed initial set.
-
-    ``audit`` holds one entry per step: True when the sphere and the scan
-    agreed, None when the step ran unaudited. A disagreement raises
-    InternalConsistencyError, so no entry is False.
-    """
+    """Consecutive one-by-one extensions from a fixed initial set."""
 
     method: str
     initial_k: int
     initial_length: int
     records: tuple
-    audit: tuple
     final_set: SignatureSet
 
     def __post_init__(self):
-        if len(self.audit) != len(self.records):
-            raise ValueError("audit flags must align with records")
         previous = None
         for record in self.records:
             if previous is not None and record.tsc_before != previous.tsc_after:
@@ -159,6 +156,11 @@ class ChainReport:
                     f"{record.tsc_before} != previous tsc_after {previous.tsc_after}"
                 )
             previous = record
+
+    @property
+    def audit(self) -> tuple:
+        """Each step's audit_agreement: True or None."""
+        return tuple(record.audit_agreement for record in self.records)
 
 
 @dataclass(frozen=True)
@@ -221,17 +223,22 @@ def _solve(step: StepAnalysis, method: str, cap: int) -> SearchResult:
     )
 
 
-def _check_audit(
-    signature_set: SignatureSet, method: str, sd: SearchResult, ml: SearchResult
-) -> None:
-    """The sphere and the scan must reach the same metric; anything else is
-    an InternalConsistencyError naming K, L and the method being run."""
-    if sd.best_metric != ml.best_metric:
+def _step(signature_set: SignatureSet, method: str, names, cap: int) -> tuple[StepAnalysis, dict]:
+    """Analyse a step once and solve it by each method in ``names``, the scan
+    first, so a set above the cap fails before any walk runs. When "sd" and
+    "ml" both ran they must reach the same metric; anything else is an
+    InternalConsistencyError naming K, L and ``method``, the method run."""
+    step = analyse_step(signature_set)
+    order = ("ml", "sd", "descent", "quant")
+    solved = {name: _solve(step, name, cap) for name in order if name in names}
+    sd, ml = solved.get("sd"), solved.get("ml")
+    if sd is not None and ml is not None and sd.best_metric != ml.best_metric:
         raise InternalConsistencyError(
             f"audit failed at K={signature_set.k}, L={signature_set.length}, "
             f"method {method}: sphere metric {sd.best_metric} != exhaustive "
             f"metric {ml.best_metric}"
         )
+    return step, solved
 
 
 def extend_once(
@@ -243,9 +250,9 @@ def extend_once(
 ):
     """Extend a set by one signature with the chosen method.
 
-    Returns (extended set, ExtensionRecord, agreement flag). The radius,
-    minimum eigenvalue, operation bound, and jitter flag are properties of
-    the set's autocorrelation matrix and are reported for every method.
+    Returns (extended set, ExtensionRecord, the record's audit_agreement).
+    The radius, minimum eigenvalue, operation bound, and jitter flag are
+    properties of the set's autocorrelation matrix, reported for every method.
 
     ``audit`` None means automatic: on for L <= 16 when the exhaustive scan
     fits the cap, off otherwise. When auditing, the sphere and the scan
@@ -256,18 +263,10 @@ def extend_once(
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     cap = resolve_ml_cap(ml_cap)
     length = signature_set.length
-    step = analyse_step(signature_set)
     if audit is None:
         audit = length <= AUDIT_AUTO_MAX_L and length <= cap
-
-    agreement: bool | None = None
-    solved = {}
-    if audit:
-        # The scan first: a step above the cap fails before the walk runs.
-        solved = {name: _solve(step, name, cap) for name in ("ml", "sd")}
-        _check_audit(signature_set, method, solved["sd"], solved["ml"])
-        agreement = True
-    result = solved[method] if method in solved else _solve(step, method, cap)
+    step, solved = _step(signature_set, method, {method, "ml", "sd"} if audit else {method}, cap)
+    result = solved[method]
 
     extended = extend_set(signature_set, result.best)
     tsc_before = tsc(signature_set)
@@ -286,8 +285,9 @@ def extend_once(
         jitter_applied=step.jitter_applied,
         welch_after=welch_bound(signature_set.k + 1, length),
         binary_bound_after=_bound_after(signature_set.k + 1, length),
+        audit_agreement=True if audit else None,
     )
-    return extended, record, agreement
+    return extended, record, record.audit_agreement
 
 
 def upscale_chain(
@@ -303,17 +303,14 @@ def upscale_chain(
         raise ValueError(f"target K={target_k} must exceed the current K={initial.k}")
     current = initial
     records = []
-    flags = []
     while current.k < target_k:
-        current, record, agreement = extend_once(current, method, audit=audit, ml_cap=ml_cap)
+        current, record, _ = extend_once(current, method, audit=audit, ml_cap=ml_cap)
         records.append(record)
-        flags.append(agreement)
     return ChainReport(
         method=method,
         initial_k=initial.k,
         initial_length=initial.length,
         records=tuple(records),
-        audit=tuple(flags),
         final_set=current,
     )
 
@@ -326,12 +323,8 @@ def compare_methods(signature_set: SignatureSet, *, ml_cap: int | None = None) -
     """
     cap = resolve_ml_cap(ml_cap)
     length = signature_set.length
-    step = analyse_step(signature_set)
+    _, solved = _step(signature_set, "sd", METHODS, cap)
     tsc_before = tsc(signature_set)
-
-    # The scan first: a set above the cap fails before the other searches.
-    solved = {name: _solve(step, name, cap) for name in ("ml", "sd", "descent", "quant")}
-    _check_audit(signature_set, "sd", solved["sd"], solved["ml"])
     after = {
         name: tsc_increment(tsc_before, result.best_metric, length)
         for name, result in solved.items()
@@ -425,15 +418,14 @@ def _bound_json(bound: BoundValue | None) -> dict | None:
     return None if bound is None else {"value": bound.value, "kind": bound.kind}
 
 
-def _step_json(record: ExtensionRecord, agreement: bool | None) -> dict:
-    """One chain step: the record's fields, its k_after, label and audit flag."""
+def _step_json(record: ExtensionRecord) -> dict:
+    """One chain step: the record's fields, its k_after and label."""
     step = {f.name: getattr(record, f.name) for f in fields(record)}
     step.update(
         k_after=record.k_after,
         method=_METHOD_LABELS[record.method],
         welch_after=_bound_json(record.welch_after),
         binary_bound_after=_bound_json(record.binary_bound_after),
-        audit_agreement=agreement,
     )
     return step
 
@@ -466,7 +458,7 @@ def emit_report(report, fmt: str) -> bytes:
     if fmt not in ("json", "csv"):
         raise ValueError(f"format must be 'json' or 'csv', got {fmt!r}")
     if isinstance(report, ChainReport):
-        steps = list(map(_step_json, report.records, report.audit))
+        steps = list(map(_step_json, report.records))
         doc = {
             "schema": REPORT_SCHEMA,
             "kind": "chain",

@@ -33,7 +33,7 @@ from operator import mul
 import numpy as np
 
 from .bounds import BoundOverflow, fp_operation_bound
-from .linalg import CholeskyFactor, SingularMatrix, cholesky, min_eigenpair, quantize_sign
+from .linalg import SingularMatrix, cholesky, min_eigenpair, quantize_sign
 from .sigcore import (
     CorrelationMatrix,
     Signature,
@@ -170,10 +170,10 @@ def certified_floor(matrix: CorrelationMatrix, lambda_min: float) -> int | None:
     if not math.isfinite(bound):
         return None
     proposal = math.ceil(bound)
-    # Python integers: L * R_ij can leave int64 even though R_ij does not.
-    entries = matrix.entries.tolist()
     for floor in (proposal, proposal - 1):
-        shifted = [[dim * x for x in row] for row in entries]
+        # Python integers, one row at a time: L * R_ij can leave int64 even
+        # though R_ij does not.
+        shifted = [[dim * x for x in row.tolist()] for row in matrix.entries]
         for i in range(dim):
             shifted[i][i] -= floor - 1
         if _positive_definite(shifted):
@@ -483,25 +483,22 @@ class StepAnalysis:
     """What one extension step knows before any search.
 
     R, its minimum eigenvalue, the sign-quantized eigenvector and its exact
-    metric (the search radius), the Cholesky factor of R with its indices
-    reversed, and from that factor the operation bound and whether jitter
-    was needed. The first-optimum walk factors its own shifted form.
+    metric (the search radius), and from the Cholesky factor of R with its
+    indices reversed, whether that factor needed jitter and the operation
+    bound (None when it did, or when the bound overflows). The first-optimum
+    walk factors its own shifted form.
     """
 
     matrix: CorrelationMatrix
     lambda_min: float
     quantized: Signature
     quant_metric: int
-    factor: CholeskyFactor
+    jitter_applied: bool
     fp_bound: float | None
 
     @property
     def radius(self) -> float:
         return float(self.quant_metric)
-
-    @property
-    def jitter_applied(self) -> bool:
-        return self.factor.jitter > 0.0
 
     def first_optimum(self) -> SearchResult:
         """The optimal extension by the first-optimum sphere walk."""
@@ -516,11 +513,15 @@ def analyse_step(signature_set: SignatureSet) -> StepAnalysis:
     quant_metric = quadratic_metric(matrix, quantized)
 
     factor = cholesky(matrix.entries[::-1, ::-1])
-    # Reciprocal of the smallest squared diagonal caps the per-axis reach.
+    jitter_applied = factor.jitter > 0.0
+    # Reciprocal of the smallest squared diagonal caps the per-axis reach. A
+    # jittered factor is one of R + jitter*I, whose bound says nothing of R.
     diag = np.diag(factor.entries)
     scale = 1.0 / float((diag * diag).min())
     try:
-        fp_bound = fp_operation_bound(matrix.dim, float(quant_metric), scale)
+        fp_bound = None if jitter_applied else fp_operation_bound(
+            matrix.dim, float(quant_metric), scale
+        )
     except BoundOverflow:
         fp_bound = None
     return StepAnalysis(
@@ -528,6 +529,6 @@ def analyse_step(signature_set: SignatureSet) -> StepAnalysis:
         lambda_min=pair.value,
         quantized=quantized,
         quant_metric=quant_metric,
-        factor=factor,
+        jitter_applied=jitter_applied,
         fp_bound=fp_bound,
     )

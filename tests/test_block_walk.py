@@ -1,6 +1,6 @@
 """The block walk keeps the depth-first walk's counts: ``sphere_search``
 against a plain one-node-at-a-time walk in every mode, the reach gate at
-L = 28 and the memory bound at L = 1,100."""
+L = 28 and the memory bounds at L = 1,100."""
 
 import math
 import tracemalloc
@@ -266,3 +266,17 @@ def test_bounded_memory_at_l_1100():
         tracemalloc.stop()
     assert result.nodes_visited == 1100
     assert peak < 64 << 20
+
+
+def test_certified_floor_memory_at_l_1100():
+    # One list of Python integers for L*R - (b-1)*I, built row by row: about
+    # L^2 pointers (9.3 MB here), not a second full copy of R beside it.
+    matrix = CorrelationMatrix(np.eye(1100, dtype=np.int64))
+    tracemalloc.start()
+    try:
+        floor = certified_floor(matrix, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert floor == 1100
+    assert peak < 12 << 20

@@ -8,6 +8,7 @@ import pytest
 
 from sigforge import (
     BoundOverflow,
+    BoundValue,
     SignatureSet,
     Underloaded,
     binary_tsc_bound,
@@ -45,6 +46,10 @@ class TestWelch:
 
     def test_underloaded_case(self):
         assert welch_bound(4, 8).value == 256
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown bound kind"):
+            BoundValue(1, "magic")
 
     def test_kind_tag(self):
         assert welch_bound(3, 2).kind == "welch"
@@ -114,6 +119,17 @@ class TestBinaryBound:
         table = load_bound_table(path)
         assert binary_tsc_bound(6, 4, table).kind == "binary_fallback_welch"
 
+    def test_non_integer_case_rejected(self, tmp_path):
+        doc = {
+            "schema": "sigforge.bound-table/1",
+            "cases": [{"k_mod": 1, "l_mod": 0, "terms": [[0.5, 1, 2], [0.5, 0, 0]]}],
+        }
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps(doc))
+        table = load_bound_table(path)
+        with pytest.raises(ValueError, match="non-integer 81/2"):
+            binary_tsc_bound(5, 4, table)
+
     def test_table_below_welch_rejected(self, tmp_path):
         doc = {
             "schema": "sigforge.bound-table/1",
@@ -132,6 +148,12 @@ class TestBinaryBound:
             {"schema": "sigforge.bound-table/1", "cases": "nope"},
             {"schema": "sigforge.bound-table/1", "cases": [{"k_mod": 9, "l_mod": 0, "terms": [[1, 0, 0]]}]},
             {"schema": "sigforge.bound-table/1", "cases": [{"k_mod": 1, "l_mod": 0, "terms": []}]},
+            # A case without terms, one that is not an object, and terms
+            # that are not [coeff, k_power, l_power] lists.
+            {"schema": "sigforge.bound-table/1", "cases": [{"k_mod": 1, "l_mod": 0}]},
+            {"schema": "sigforge.bound-table/1", "cases": [5]},
+            {"schema": "sigforge.bound-table/1", "cases": [{"k_mod": 1, "l_mod": 0, "terms": [[1, 0]]}]},
+            {"schema": "sigforge.bound-table/1", "cases": [{"k_mod": 1, "l_mod": 0, "terms": [7]}]},
             {"schema": "sigforge.bound-table/1", "cases": [{"k_mod": 1, "l_mod": 0, "terms": [[1, -1, 0]]}]},
             {
                 "schema": "sigforge.bound-table/1",
@@ -192,6 +214,9 @@ class TestFpOperationBound:
         with pytest.raises(BoundOverflow) as info:
             fp_operation_bound(2, 1e154, 1e154)  # exact value too big for float
         assert info.value.saturated is True
+        # A modest reach at a large L: the binomial term alone passes 1e308.
+        with pytest.raises(BoundOverflow, match="at L=2000"):
+            fp_operation_bound(2000, 1000.0, 1.0)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):

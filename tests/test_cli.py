@@ -119,6 +119,15 @@ class TestExtendCommand:
         assert main(["extend", h4_file, "--method", "quant"]) == 0
         assert "method quant" in capsys.readouterr().out
 
+    def test_singular_r_prints_no_fp_bound(self, tmp_path, capsys):
+        path = tmp_path / "underloaded.txt"
+        rng = np.random.default_rng(69)
+        save_set(SignatureSet.from_rows(rng.choice([-1, 1], size=(5, 12)).tolist()), path)
+        assert main(["extend", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "fp_bound n/a\n" in out
+        assert "jitter_applied true\n" in out
+
     def test_descent_prints_its_stand_in_label(self, h4_file, capsys):
         assert main(["extend", h4_file, "--method", "descent"]) == 0
         assert "method descent(stand-in)\n" in capsys.readouterr().out

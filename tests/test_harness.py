@@ -139,6 +139,25 @@ class TestExtendOnce:
             )
         with pytest.raises(ValueError):
             ExtensionRecord(**{**sane, "method": "sdm"})
+        assert ExtensionRecord(**sane).audit_agreement is None
+        assert ExtensionRecord(**sane, audit_agreement=True).audit_agreement is True
+        for verdict in (False, 1, "pass"):
+            with pytest.raises(ValueError, match="audit_agreement"):
+                ExtensionRecord(**sane, audit_agreement=verdict)
+
+    def test_record_carries_the_returned_verdict(self):
+        for audit, verdict in ((True, True), (False, None)):
+            _, record, agreement = extend_once(hadamard_set(4), "quant", audit=audit)
+            assert record.audit_agreement is agreement
+            assert agreement is verdict
+
+    def test_singular_r_has_no_fp_bound(self):
+        # K < L: R is singular, and a bound on the jittered factor of
+        # R + jitter*I says nothing about R.
+        rng = np.random.default_rng(68)
+        _, record, _ = extend_once(random_set(rng, 5, 12), "sd")
+        assert record.jitter_applied is True
+        assert record.fp_bound is None
 
 
 class TestUpscaleChain:
@@ -170,16 +189,6 @@ class TestUpscaleChain:
                 initial_k=4,
                 initial_length=4,
                 records=(report.records[1], report.records[0]),
-                audit=(None, None),
-                final_set=report.final_set,
-            )
-        with pytest.raises(ValueError):
-            ChainReport(
-                method="sd",
-                initial_k=4,
-                initial_length=4,
-                records=report.records,
-                audit=(None,),
                 final_set=report.final_set,
             )
 

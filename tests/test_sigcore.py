@@ -60,6 +60,16 @@ class TestSignatureSet:
         with pytest.raises(ValueError):
             SignatureSet(signatures=())
 
+    def test_rejects_non_signatures(self):
+        with pytest.raises(TypeError, match="expected Signature, got tuple"):
+            SignatureSet(((1, -1), (1, 1)))
+
+    def test_indexing(self):
+        s = SignatureSet.from_rows([[1, 1, -1], [1, -1, 1], [-1, 1, 1]])
+        assert s[1] == Signature((1, -1, 1))
+        assert s[-1] == Signature((-1, 1, 1))
+        assert s[:2] == s.signatures[:2]
+
     def test_shape(self):
         s = SignatureSet.from_rows([[1, 1, -1], [1, -1, 1]])
         assert s.k == 2 and s.length == 3
@@ -153,6 +163,35 @@ class TestCorrelationMatrix:
         assert small.entries.dtype == np.int64
         assert small.entries.tolist() == [[3, -1], [-1, 3]]
         assert small.abs_sum == 8
+
+    @pytest.mark.parametrize(
+        "entries",
+        [np.ones((2, 3), dtype=np.int64), np.ones(3, dtype=np.int64), np.zeros((0, 0), dtype=np.int64)],
+    )
+    def test_rejects_non_square_or_empty(self, entries):
+        with pytest.raises(ValueError, match="square and non-empty"):
+            CorrelationMatrix(entries=entries)
+
+    @pytest.mark.parametrize("bad", ["1", None, 1j])
+    def test_rejects_non_real_object_entries(self, bad):
+        with pytest.raises(ValueError, match="real numbers"):
+            CorrelationMatrix(entries=np.array([[1, bad], [bad, 1]], dtype=object))
+
+    def test_integral_floats_accepted_and_rounded(self):
+        for entries in (np.array([[3.0, -1.0], [-1.0, 3.0]]),
+                        np.array([[3.0, -1], [-1, 3.0]], dtype=object)):
+            m = CorrelationMatrix(entries=entries)
+            assert m.entries.dtype == np.int64
+            assert m.entries.tolist() == [[3, -1], [-1, 3]]
+            assert m.k == 3 and m.abs_sum == 8
+
+    def test_equality(self):
+        m = correlation_matrix(hadamard_set(4))
+        assert m == CorrelationMatrix(entries=4 * np.eye(4, dtype=np.int64))
+        assert m != CorrelationMatrix(entries=2 * np.eye(4, dtype=np.int64))
+        assert m != correlation_matrix(hadamard_set(2))
+        assert (m == m.entries.tolist()) is False  # not a CorrelationMatrix
+        assert m.__eq__(m.entries) is NotImplemented
 
     def test_entries_read_only(self):
         m = correlation_matrix(hadamard_set(4))
@@ -249,6 +288,10 @@ class TestTscRecursion:
         with pytest.raises(ValueError):
             tsc_increment(10, -1, 4)
 
+    def test_rejects_empty_length(self):
+        with pytest.raises(ValueError, match="length must be >= 1"):
+            tsc_increment(10, 1, 0)
+
 
 class TestHadamard:
     def test_orthogonal_columns(self):
@@ -287,6 +330,10 @@ class TestSetFiles:
             "1 2\n+1 0\n",           # bad alphabet
             "1 2\n1 -1\n",           # tokens must be signed
             "",                       # empty file
+            "2 2 2\n+1 +1\n+1 -1\n",  # three header fields
+            "0 2\n",                  # K < 1
+            "1 0\n+1\n",             # L < 1
+            "-1 2\n",                 # negative K
         ],
     )
     def test_malformed_files_never_load(self, tmp_path, text):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import sigforge.sphere
 from sigforge import (
+    BoundOverflow,
     CapExceeded,
     CorrelationMatrix,
     EmptySphere,
@@ -267,10 +268,20 @@ class TestExtendOptimal:
         assert result.candidates_enumerated >= 1
         assert step.fp_bound is None or step.fp_bound > 0.0
 
+    def test_overflowing_bound_reads_none(self, monkeypatch):
+        def overflow(dim, radius, scale):
+            raise BoundOverflow(f"operation bound exceeds float range at L={dim}")
+
+        monkeypatch.setattr(sigforge.sphere, "fp_operation_bound", overflow)
+        step = analyse_step(hadamard_set(8))
+        assert not step.jitter_applied
+        assert step.fp_bound is None
+
     def test_degenerate_set_uses_jitter(self):
         s = SignatureSet.from_rows([[1, 1], [1, 1]])
         step = analyse_step(s)
         assert step.jitter_applied
+        assert step.fp_bound is None
         assert step.first_optimum().best_metric == 0
 
 
