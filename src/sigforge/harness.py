@@ -25,7 +25,6 @@ from dataclasses import dataclass, fields
 from .bounds import BoundValue, Underloaded, binary_tsc_bound, welch_bound
 from .sigcore import (
     SetFormatError,
-    Signature,
     SignatureSet,
     extend_set,
     load_set,

@@ -42,14 +42,6 @@ class SetFormatError(ValueError):
     """A signature-set file violates the text format."""
 
 
-def _coerce_chip(value) -> int:
-    if value == 1:
-        return 1
-    if value == -1:
-        return -1
-    raise ValueError(f"signature entries must be -1 or +1, got {value!r}")
-
-
 @dataclass(frozen=True)
 class Signature:
     """A length-L spreading code over the antipodal alphabet {-1, +1}.
@@ -60,10 +52,13 @@ class Signature:
     chips: tuple[int, ...]
 
     def __post_init__(self):
-        chips = tuple(_coerce_chip(c) for c in self.chips)
+        chips = tuple(self.chips)
+        for c in chips:
+            if c != 1 and c != -1:
+                raise ValueError(f"signature entries must be -1 or +1, got {c!r}")
         if not chips:
             raise ValueError("signature length must be >= 1")
-        object.__setattr__(self, "chips", chips)
+        object.__setattr__(self, "chips", tuple(1 if c == 1 else -1 for c in chips))
 
     def __len__(self) -> int:
         return len(self.chips)
@@ -87,19 +82,19 @@ class Signature:
         chips[index] = -chips[index]
         return Signature(tuple(chips))
 
-    def to_tokens(self) -> str:
-        """Render as the file-format token row, e.g. ``+1 -1 +1 +1``."""
-        return " ".join("+1" if c > 0 else "-1" for c in self.chips)
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class SignatureSet:
-    """An ordered collection of K signatures sharing one common length L."""
+    """An ordered collection of K signatures sharing one common length L.
 
-    signatures: tuple[Signature, ...]
+    ``rows`` holds them as one read-only K x L int64 array of +-1, validated
+    once; ``Signature`` objects are built from it on request.
+    """
 
-    def __post_init__(self):
-        sigs = tuple(self.signatures)
+    rows: np.ndarray
+
+    def __init__(self, signatures: Iterable[Signature]):
+        sigs = tuple(signatures)
         if not sigs:
             raise ValueError("signature set must contain at least one signature")
         for s in sigs:
@@ -109,22 +104,25 @@ class SignatureSet:
                 raise ValueError(
                     f"all signatures must share one length, got {len(s)} and {len(sigs[0])}"
                 )
-        object.__setattr__(self, "signatures", sigs)
+        rows = np.array([s.chips for s in sigs], dtype=np.int64)
+        object.__setattr__(self, "rows", _wrap(rows).rows)
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]]) -> SignatureSet:
         return cls(tuple(Signature(tuple(row)) for row in rows))
 
     @property
-    def k(self) -> int:
-        return len(self.signatures)
+    def signatures(self) -> tuple[Signature, ...]:
+        return tuple(Signature(tuple(row)) for row in self.rows.tolist())
+
+    def __len__(self) -> int:
+        return self.rows.shape[0]
+
+    k = property(__len__)
 
     @property
     def length(self) -> int:
-        return len(self.signatures[0])
-
-    def __len__(self) -> int:
-        return len(self.signatures)
+        return self.rows.shape[1]
 
     def __iter__(self) -> Iterator[Signature]:
         return iter(self.signatures)
@@ -132,9 +130,26 @@ class SignatureSet:
     def __getitem__(self, index):
         return self.signatures[index]
 
+    def __eq__(self, other) -> bool:
+        return isinstance(other, SignatureSet) and np.array_equal(self.rows, other.rows)
+
+    def __hash__(self) -> int:
+        return hash((self.rows.shape, self.rows.tobytes()))
+
+    def __reduce__(self):  # copies and unpickled sets hold read-only rows too
+        return _wrap, (self.matrix(),)
+
     def matrix(self) -> np.ndarray:
         """Signatures stacked as a fresh K x L int64 array (one row per signature)."""
-        return np.array([s.chips for s in self.signatures], dtype=np.int64)
+        return self.rows.copy()
+
+
+def _wrap(rows: np.ndarray) -> SignatureSet:
+    """A set holding a validated K x L int64 array of +-1 as its read-only rows."""
+    rows.setflags(write=False)
+    signature_set = object.__new__(SignatureSet)
+    object.__setattr__(signature_set, "rows", rows)
+    return signature_set
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,15 +225,13 @@ def tsc(signature_set: SignatureSet) -> int:
         raise ValueError(
             f"(K*L)^2 = {scale} is not below {INT64_LIMIT}, the bound for an exact int64 TSC"
         )
-    m = signature_set.matrix()
-    gram = m @ m.T
+    gram = signature_set.rows @ signature_set.rows.T
     return int((gram * gram).sum())
 
 
 def correlation_matrix(signature_set: SignatureSet) -> CorrelationMatrix:
     """Exact integer autocorrelation matrix of the set."""
-    m = signature_set.matrix()
-    return CorrelationMatrix(m.T @ m)
+    return CorrelationMatrix(signature_set.rows.T @ signature_set.rows)
 
 
 def quadratic_metric(matrix: CorrelationMatrix, signature: Signature) -> int:
@@ -252,7 +265,7 @@ def extend_set(signature_set: SignatureSet, signature: Signature) -> SignatureSe
             f"dimension mismatch: set has length {signature_set.length}, "
             f"signature has length {len(signature)}"
         )
-    return SignatureSet(signature_set.signatures + (signature,))
+    return _wrap(np.vstack((signature_set.rows, SignatureSet((signature,)).rows)))
 
 
 def hadamard_set(length: int) -> SignatureSet:
@@ -265,24 +278,14 @@ def hadamard_set(length: int) -> SignatureSet:
     h = np.array([[1]], dtype=np.int64)
     while h.shape[0] < length:
         h = np.block([[h, h], [h, -h]])
-    return SignatureSet.from_rows(h.tolist())
+    return _wrap(h)
 
 
 def save_set(signature_set: SignatureSet, path) -> None:
     """Write the text format: header line ``K L``, then one token row per signature."""
-    lines = [f"{signature_set.k} {signature_set.length}"]
-    lines.extend(s.to_tokens() for s in signature_set)
+    tokens = np.where(signature_set.rows > 0, "+1", "-1").tolist()
+    lines = [f"{signature_set.k} {signature_set.length}", *map(" ".join, tokens)]
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-def _parse_chip_token(token: str, lineno: int) -> int:
-    if token == "+1":
-        return 1
-    if token == "-1":
-        return -1
-    raise SetFormatError(
-        f"line {lineno}: invalid entry {token!r} (alphabet is '+1'/'-1')"
-    )
 
 
 def load_set(path) -> SignatureSet:
@@ -290,14 +293,10 @@ def load_set(path) -> SignatureSet:
 
     Lines starting with ``#`` and blank lines are ignored. Raises
     SetFormatError on a malformed header, wrong row count, ragged rows,
-    or entries outside the +1/-1 alphabet.
+    or entries outside the +1/-1 alphabet, naming the earliest faulty line.
     """
-    content_lines = []
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        content_lines.append((lineno, stripped))
+    numbered = enumerate(Path(path).read_text().splitlines(), start=1)
+    content_lines = [(n, line) for n, raw in numbered if (line := raw.strip()) and line[0] != "#"]
     if not content_lines:
         raise SetFormatError("empty file: missing 'K L' header")
 
@@ -314,15 +313,15 @@ def load_set(path) -> SignatureSet:
     if k < 1 or length < 1:
         raise SetFormatError(f"line {header_lineno}: need K >= 1 and L >= 1, got K={k} L={length}")
 
-    rows = content_lines[1:]
+    rows = [row.split() for _, row in content_lines[1:]]
     if len(rows) != k:
         raise SetFormatError(f"header declares {k} rows, file has {len(rows)}")
-    signatures = []
-    for lineno, row in rows:
-        tokens = row.split()
+    for (lineno, _), tokens in zip(content_lines[1:], rows):
         if len(tokens) != length:
-            raise SetFormatError(
-                f"line {lineno}: expected {length} entries, got {len(tokens)}"
-            )
-        signatures.append(Signature(tuple(_parse_chip_token(t, lineno) for t in tokens)))
-    return SignatureSet(tuple(signatures))
+            raise SetFormatError(f"line {lineno}: expected {length} entries, got {len(tokens)}")
+        if not {"+1", "-1"}.issuperset(tokens):
+            bad = next(t for t in tokens if t not in {"+1", "-1"})
+            raise SetFormatError(f"line {lineno}: invalid entry {bad!r} (alphabet is '+1'/'-1')")
+    # Every token is "+1" or "-1", so every other character is a sign.
+    signs = np.frombuffer("".join(map("".join, rows)).encode("ascii"), np.uint8)[::2]
+    return _wrap(np.where(signs == ord("+"), np.int64(1), np.int64(-1)).reshape(k, length))

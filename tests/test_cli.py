@@ -148,6 +148,13 @@ class TestChainCommand:
         assert main(["chain", h4_file, "--to", "6"]) == 0
         assert "final k 6" in capsys.readouterr().out
 
+    def test_reference_chain_saves_golden_set(self, tmp_path, capsys):
+        # No other check pins saved-set bytes; the tie-break fixes every
+        # appended signature, so the file may never change.
+        out = tmp_path / "chain.txt"
+        assert main(["chain", "--hadamard", "16", "--to", "32", "--save-set", str(out)]) == 0
+        assert out.read_bytes() == (DATA / "reference_chain_set.txt").read_bytes()
+
     def test_start_must_be_unambiguous(self, h4_file, capsys):
         assert main(["chain", h4_file, "--hadamard", "4", "--to", "8"]) == 2
         assert main(["chain", "--to", "8"]) == 2

@@ -1,5 +1,8 @@
 """Data model and exact TSC accounting."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +25,31 @@ from sigforge import (
 )
 
 
+# Each malformed file and its exact message. Line numbers count every line
+# of the file, comments and blanks included; the earliest faulty line wins,
+# and within a row a wrong entry count is named before a wrong token.
+MALFORMED = {
+    "x 2\n+1 +1\n": "line 1: header must hold two integers, got 'x 2'",
+    "2 2\n+1 +1\n+1\n": "line 3: expected 2 entries, got 1",
+    "2 2\n+1 +1\n": "header declares 2 rows, file has 1",
+    "1 2\n+1 +1\n+1 -1\n": "header declares 1 rows, file has 2",
+    "1 2\n+1 0\n": "line 2: invalid entry '0' (alphabet is '+1'/'-1')",
+    "1 2\n1 -1\n": "line 2: invalid entry '1' (alphabet is '+1'/'-1')",  # tokens must be signed
+    "": "empty file: missing 'K L' header",
+    "2 2 2\n+1 +1\n+1 -1\n": "line 1: header must be 'K L', got '2 2 2'",
+    "0 2\n": "line 1: need K >= 1 and L >= 1, got K=0 L=2",
+    "1 0\n+1\n": "line 1: need K >= 1 and L >= 1, got K=1 L=0",
+    "-1 2\n": "line 1: need K >= 1 and L >= 1, got K=-1 L=2",
+    # A bad token on line 3 and a ragged row on line 5: line 3 is named.
+    "3 2\n+1 +1\n+1 x\n\n+1 -1 +1\n": "line 3: invalid entry 'x' (alphabet is '+1'/'-1')",
+    # Only lines that begin with '#' are comments; a note after chips is not.
+    "1 2\n+1 -1 # note\n": "line 2: expected 2 entries, got 4",
+    # Comments and blanks before a bad row still count in its line number.
+    "# header next\n2 2\n\n# a row\n+1 +1\n+1 +2\n":
+        "line 6: invalid entry '+2' (alphabet is '+1'/'-1')",
+}
+
+
 def random_set(rng, k, length):
     return SignatureSet.from_rows(rng.choice([-1, 1], size=(k, length)).tolist())
 
@@ -42,9 +70,6 @@ class TestSignature:
         assert tuple(s.flipped(1)) == (1, 1, 1)
         assert tuple(-s) == (-1, 1, -1)
         assert tuple(s) == (1, -1, 1)
-
-    def test_tokens(self):
-        assert Signature((1, -1)).to_tokens() == "+1 -1"
 
     def test_as_array_is_int64(self):
         arr = Signature((1, -1)).as_array()
@@ -74,6 +99,46 @@ class TestSignatureSet:
         s = SignatureSet.from_rows([[1, 1, -1], [1, -1, 1]])
         assert s.k == 2 and s.length == 3
         assert s.matrix().shape == (2, 3)
+
+    def test_contract_across_construction_paths(self, tmp_path):
+        rows = [[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]
+        path = tmp_path / "h4.txt"
+        path.write_text("4 4\n" + "".join(
+            " ".join("+1" if c > 0 else "-1" for c in row) + "\n" for row in rows))
+        sets = [
+            SignatureSet(tuple(Signature(tuple(row)) for row in rows)),
+            SignatureSet.from_rows(rows),
+            load_set(path),
+            extend_set(SignatureSet.from_rows(rows[:3]), Signature(tuple(rows[3]))),
+            hadamard_set(4),
+        ]
+        for s in sets:
+            assert s == sets[0] and hash(s) == hash(sets[0])
+            assert s.signatures == tuple(Signature(tuple(row)) for row in rows)
+            assert isinstance(s[1:], tuple) and s[1:] == s.signatures[1:]
+            assert list(s) == list(s.signatures) and len(s) == s.k == 4
+            with pytest.raises(ValueError):
+                s.rows[0, 0] = -1
+            fresh = s.matrix()
+            assert fresh.dtype == np.int64 and fresh.tolist() == rows
+            fresh[0, 0] = -1
+            assert s.rows[0, 0] == 1
+            for clone in (copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
+                assert clone == s and not clone.rows.flags.writeable
+        assert sets[0] != SignatureSet.from_rows(rows[::-1])
+        assert sets[0] != SignatureSet.from_rows(rows[:2])
+        one_row = SignatureSet.from_rows([[1, 1, 1, 1]])
+        assert one_row != SignatureSet.from_rows([[1, 1], [1, 1]])
+        assert sets[0] != rows and sets[0] != correlation_matrix(sets[0])
+        assert len({*sets}) == 1
+        with pytest.raises(ValueError):
+            SignatureSet.from_rows([])
+        with pytest.raises(ValueError):
+            SignatureSet.from_rows([[1, 1], [1]])
+        with pytest.raises(TypeError):
+            SignatureSet([sets[0][0], (1, 1, 1, 1)])
+        with pytest.raises(TypeError):
+            extend_set(sets[0], (1, 1, 1, 1))
 
     def test_extend_appends(self):
         s = SignatureSet.from_rows([[1, 1]])
@@ -320,24 +385,10 @@ class TestSetFiles:
         loaded = load_set(path)
         assert loaded.k == 2 and loaded.length == 2
 
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "x 2\n+1 +1\n",          # bad header
-            "2 2\n+1 +1\n+1\n",      # ragged row
-            "2 2\n+1 +1\n",          # too few rows
-            "1 2\n+1 +1\n+1 -1\n",   # too many rows
-            "1 2\n+1 0\n",           # bad alphabet
-            "1 2\n1 -1\n",           # tokens must be signed
-            "",                       # empty file
-            "2 2 2\n+1 +1\n+1 -1\n",  # three header fields
-            "0 2\n",                  # K < 1
-            "1 0\n+1\n",             # L < 1
-            "-1 2\n",                 # negative K
-        ],
-    )
+    @pytest.mark.parametrize("text", list(MALFORMED))
     def test_malformed_files_never_load(self, tmp_path, text):
         path = tmp_path / "bad.txt"
         path.write_text(text)
-        with pytest.raises(SetFormatError):
+        with pytest.raises(SetFormatError) as excinfo:
             load_set(path)
+        assert str(excinfo.value) == MALFORMED[text]
