@@ -74,19 +74,16 @@ ML_CAP_ENV = "SIGFORGE_ML_CAP"
 REPORT_SCHEMA = "sigforge.report/1"
 
 
-def resolve_ml_cap(explicit: int | None = None) -> int:
-    """Exhaustive-scan cap: explicit argument, else the SIGFORGE_ML_CAP
-    environment variable, else the built-in default."""
-    if explicit is not None:
-        cap = explicit
-    else:
-        raw = os.environ.get(ML_CAP_ENV)
-        if raw is None:
-            return DEFAULT_ML_CAP
-        try:
-            cap = int(raw)
-        except ValueError:
-            raise ValueError(f"{ML_CAP_ENV} must be an integer, got {raw!r}") from None
+def resolve_ml_cap() -> int:
+    """Exhaustive-scan cap: the SIGFORGE_ML_CAP environment variable, else
+    the built-in default."""
+    raw = os.environ.get(ML_CAP_ENV)
+    if raw is None:
+        return DEFAULT_ML_CAP
+    try:
+        cap = int(raw)
+    except ValueError:
+        raise ValueError(f"{ML_CAP_ENV} must be an integer, got {raw!r}") from None
     if cap < 1:
         raise ValueError(f"exhaustive cap must be positive, got {cap}")
     return cap
@@ -245,7 +242,6 @@ def extend_once(
     method: str = "sd",
     *,
     audit: bool | None = None,
-    ml_cap: int | None = None,
 ):
     """Extend a set by one signature with the chosen method.
 
@@ -260,7 +256,7 @@ def extend_once(
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    cap = resolve_ml_cap(ml_cap)
+    cap = resolve_ml_cap()
     length = signature_set.length
     if audit is None:
         audit = length <= AUDIT_AUTO_MAX_L and length <= cap
@@ -295,7 +291,6 @@ def upscale_chain(
     method: str = "sd",
     *,
     audit: bool | None = None,
-    ml_cap: int | None = None,
 ) -> ChainReport:
     """Extend one signature at a time until the set holds ``target_k``."""
     if target_k <= initial.k:
@@ -303,7 +298,7 @@ def upscale_chain(
     current = initial
     records = []
     while current.k < target_k:
-        current, record, _ = extend_once(current, method, audit=audit, ml_cap=ml_cap)
+        current, record, _ = extend_once(current, method, audit=audit)
         records.append(record)
     return ChainReport(
         method=method,
@@ -314,13 +309,13 @@ def upscale_chain(
     )
 
 
-def compare_methods(signature_set: SignatureSet, *, ml_cap: int | None = None) -> CompareRow:
+def compare_methods(signature_set: SignatureSet) -> CompareRow:
     """All four methods on the same autocorrelation matrix, one row out.
 
     The sphere and exhaustive metrics must agree; the quantized and descent
     baselines may only be worse.
     """
-    cap = resolve_ml_cap(ml_cap)
+    cap = resolve_ml_cap()
     length = signature_set.length
     _, solved = _step(signature_set, "sd", METHODS, cap)
     tsc_before = tsc(signature_set)
@@ -339,7 +334,7 @@ def compare_methods(signature_set: SignatureSet, *, ml_cap: int | None = None) -
     )
 
 
-def one_shot_experiment(set_paths, *, ml_cap: int | None = None) -> CompareReport:
+def one_shot_experiment(set_paths) -> CompareReport:
     """Batch comparison over set files, with TSC-minus-bound gap columns.
 
     Per-file load and validation errors, and a set above the exhaustive
@@ -351,7 +346,7 @@ def one_shot_experiment(set_paths, *, ml_cap: int | None = None) -> CompareRepor
         path = str(path)
         try:
             loaded = load_set(path)
-            row = compare_methods(loaded, ml_cap=ml_cap)
+            row = compare_methods(loaded)
         except (OSError, SetFormatError, ValueError, Underloaded, CapExceeded) as exc:
             entries.append(CompareEntry(path=path, error=str(exc)))
             continue
@@ -370,46 +365,19 @@ def one_shot_experiment(set_paths, *, ml_cap: int | None = None) -> CompareRepor
     return CompareReport(entries=tuple(entries))
 
 
-# Each CSV column: (header, key of the row's JSON object, field of that
-# key's nested {"value", "kind"} object or None). A CSV row is its JSON
-# object flattened; a chain row also carries its 1-based step number.
+# CSV headers in column order; a CSV row is its JSON object flattened (see
+# emit_report).
 _CHAIN_COLUMNS = (
-    ("step", "step", None),
-    ("k_before", "k_before", None),
-    ("k_after", "k_after", None),
-    ("length", "length", None),
-    ("method", "method", None),
-    ("metric", "metric", None),
-    ("tsc_before", "tsc_before", None),
-    ("tsc_after", "tsc_after", None),
-    ("radius_c", "radius_c", None),
-    ("lambda_min", "lambda_min", None),
-    ("nodes_visited", "nodes_visited", None),
-    ("candidates_enumerated", "candidates_enumerated", None),
-    ("fp_bound", "fp_bound", None),
-    ("jitter_applied", "jitter_applied", None),
-    ("welch_after", "welch_after", "value"),
-    ("binary_bound_after", "binary_bound_after", "value"),
-    ("binary_bound_kind", "binary_bound_after", "kind"),
-    ("audit_agreement", "audit_agreement", None),
+    "step", "k_before", "k_after", "length", "method", "metric", "tsc_before",
+    "tsc_after", "radius_c", "lambda_min", "nodes_visited", "candidates_enumerated",
+    "fp_bound", "jitter_applied", "welch_after", "binary_bound_after",
+    "binary_bound_kind", "audit_agreement",
 )
 
 _COMPARE_COLUMNS = (
-    ("path", "path", None),
-    ("k_after", "k_after", None),
-    ("length", "length", None),
-    ("tsc_before", "tsc_before", None),
-    ("tsc_quant", "tsc_quant", None),
-    ("tsc_descent", "tsc_descent", None),
-    ("tsc_sd", "tsc_sd", None),
-    ("tsc_ml", "tsc_ml", None),
-    ("binary_bound", "binary_bound", "value"),
-    ("binary_bound_kind", "binary_bound", "kind"),
-    ("gap_quant", "gap_quant", None),
-    ("gap_descent", "gap_descent", None),
-    ("gap_sd", "gap_sd", None),
-    ("gap_ml", "gap_ml", None),
-    ("error", "error", None),
+    "path", "k_after", "length", "tsc_before", "tsc_quant", "tsc_descent", "tsc_sd",
+    "tsc_ml", "binary_bound", "binary_bound_kind", "gap_quant", "gap_descent",
+    "gap_sd", "gap_ml", "error",
 )
 
 
@@ -450,9 +418,11 @@ def _cell(value):
 def emit_report(report, fmt: str) -> bytes:
     """Serialize a ChainReport or CompareReport; same input, same bytes.
 
-    Each row is built once as a JSON object; a CSV row is that object's
-    values in fixed column order (see the README). JSON documents carry a
-    schema tag. Floats use repr, absent values serialize as null/empty.
+    Each row is built once as a JSON object, and a CSV row is that object
+    flattened: a nested {"value", "kind"} bound writes its value, the binary
+    bound's kind goes in binary_bound_kind, and a chain row gets its 1-based
+    step. JSON documents carry a schema tag. Floats use repr, absent values
+    serialize as null/empty.
     """
     if fmt not in ("json", "csv"):
         raise ValueError(f"format must be 'json' or 'csv', got {fmt!r}")
@@ -465,12 +435,12 @@ def emit_report(report, fmt: str) -> bytes:
             "initial": {"k": report.initial_k, "length": report.initial_length},
             "steps": steps,
         }
-        columns = _CHAIN_COLUMNS
-        rows = [dict(step, step=number) for number, step in enumerate(steps, start=1)]
+        columns, bound = _CHAIN_COLUMNS, "binary_bound_after"
+        objects = [dict(step, step=number) for number, step in enumerate(steps, start=1)]
     elif isinstance(report, CompareReport):
-        rows = list(map(_entry_json, report.entries))
-        doc = {"schema": REPORT_SCHEMA, "kind": "compare", "entries": rows}
-        columns = _COMPARE_COLUMNS
+        objects = list(map(_entry_json, report.entries))
+        doc = {"schema": REPORT_SCHEMA, "kind": "compare", "entries": objects}
+        columns, bound = _COMPARE_COLUMNS, "binary_bound"
     else:
         raise ValueError(f"cannot serialize {type(report).__name__}")
     if fmt == "json":
@@ -478,10 +448,9 @@ def emit_report(report, fmt: str) -> bytes:
         return (text + "\n").encode("utf-8")
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header for header, _, _ in columns)
-    for row in rows:
-        writer.writerow(
-            _cell(row[key] if field is None or row[key] is None else row[key][field])
-            for _, key, field in columns
-        )
+    writer.writerow(columns)
+    for obj in objects:
+        row = {key: v["value"] if isinstance(v, dict) else v for key, v in obj.items()}
+        row["binary_bound_kind"] = None if obj[bound] is None else obj[bound]["kind"]
+        writer.writerow(_cell(row[header]) for header in columns)
     return buffer.getvalue().encode("utf-8")

@@ -11,6 +11,7 @@ Python ints.
 from __future__ import annotations
 
 import numbers
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -113,7 +114,7 @@ class SignatureSet:
 
     @property
     def signatures(self) -> tuple[Signature, ...]:
-        return tuple(Signature(tuple(row)) for row in self.rows.tolist())
+        return self[:]
 
     def __len__(self) -> int:
         return self.rows.shape[0]
@@ -128,7 +129,11 @@ class SignatureSet:
         return iter(self.signatures)
 
     def __getitem__(self, index):
-        return self.signatures[index]
+        """One Signature for an int, a tuple of them for a slice; only the
+        indexed rows are built."""
+        if isinstance(index, slice):
+            return tuple(Signature(tuple(row)) for row in self.rows[index].tolist())
+        return Signature(tuple(self.rows[operator.index(index)].tolist()))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, SignatureSet) and np.array_equal(self.rows, other.rows)
@@ -230,8 +235,21 @@ def tsc(signature_set: SignatureSet) -> int:
 
 
 def correlation_matrix(signature_set: SignatureSet) -> CorrelationMatrix:
-    """Exact integer autocorrelation matrix of the set."""
-    return CorrelationMatrix(signature_set.rows.T @ signature_set.rows)
+    """Exact integer autocorrelation matrix of the set.
+
+    R = S^T S of validated +-1 rows is symmetric with diagonal K and every
+    |R_ij| <= K, so it is wrapped unchecked while K * L^2, a bound on
+    sum |R_ij|, is below 2^63; beyond that the validating constructor decides.
+    """
+    rows = signature_set.rows
+    product = rows.T @ rows
+    if signature_set.k * signature_set.length**2 >= INT64_LIMIT:
+        return CorrelationMatrix(product)
+    product.setflags(write=False)
+    matrix = object.__new__(CorrelationMatrix)
+    object.__setattr__(matrix, "entries", product)
+    object.__setattr__(matrix, "abs_sum", int(np.abs(product).sum()))
+    return matrix
 
 
 def quadratic_metric(matrix: CorrelationMatrix, signature: Signature) -> int:

@@ -298,6 +298,30 @@ class TestReportCommand:
             assert main(["report", *args, "--format", fmt, "--out", str(out)]) == 0
             assert out.read_bytes() == (DATA / f"{golden}.{fmt}").read_bytes()
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_descent_run_matches_golden_file(self, fmt, tmp_path, capsys):
+        # The overloaded L = 8 chain by descent pins the stand-in label.
+        out = tmp_path / f"descent_report.{fmt}"
+        args = [str(DATA / "compare_overloaded.txt"), "--to", "20", "--method", "descent"]
+        assert main(["report", *args, "--format", fmt, "--out", str(out)]) == 0
+        golden = (DATA / f"descent_report.{fmt}").read_bytes()
+        assert out.read_bytes() == golden
+        assert golden.count(b"descent(stand-in)") == (8 if fmt == "csv" else 9)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_underloaded_run_matches_golden_file(self, fmt, tmp_path, capsys):
+        # A K = 3, L = 8 start grown to K = 10: singular steps (null fp_bound,
+        # jitter applied), then nonsingular ones, under both bound kinds.
+        out = tmp_path / f"underloaded_report.{fmt}"
+        args = [str(DATA / "underloaded_start.txt"), "--to", "10"]
+        assert main(["report", *args, "--format", fmt, "--out", str(out)]) == 0
+        assert out.read_bytes() == (DATA / f"underloaded_report.{fmt}").read_bytes()
+        steps = json.loads((DATA / "underloaded_report.json").read_text())["steps"]
+        assert [s["jitter_applied"] for s in steps] == [True] * 5 + [False] * 2
+        assert [s["fp_bound"] is None for s in steps] == [True] * 5 + [False] * 2
+        kinds = {s["binary_bound_after"]["kind"] for s in steps}
+        assert kinds == {"welch", "binary_fallback_welch"}
+
     def test_format_required(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["report", "--out", str(tmp_path / "x.csv")])

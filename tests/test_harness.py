@@ -40,18 +40,15 @@ class TestMlCap:
         monkeypatch.setenv(ML_CAP_ENV, "10")
         assert resolve_ml_cap() == 10
 
-    def test_explicit_beats_env(self, monkeypatch):
-        monkeypatch.setenv(ML_CAP_ENV, "10")
-        assert resolve_ml_cap(12) == 12
-
     def test_garbage_env_rejected(self, monkeypatch):
         monkeypatch.setenv(ML_CAP_ENV, "many")
         with pytest.raises(ValueError):
             resolve_ml_cap()
 
-    def test_nonpositive_rejected(self):
+    def test_nonpositive_rejected(self, monkeypatch):
+        monkeypatch.setenv(ML_CAP_ENV, "0")
         with pytest.raises(ValueError):
-            resolve_ml_cap(0)
+            resolve_ml_cap()
 
 
 class TestExtendOnce:
@@ -88,17 +85,19 @@ class TestExtendOnce:
         with pytest.raises(ValueError):
             extend_once(hadamard_set(4), "magic")
 
-    def test_audit_auto_off_when_cap_blocks_scan(self):
+    def test_audit_auto_off_when_cap_blocks_scan(self, monkeypatch):
+        monkeypatch.setenv(ML_CAP_ENV, "4")
         rng = np.random.default_rng(63)
         s = random_set(rng, 8, 8)
-        _, _, agreement = extend_once(s, "sd", ml_cap=4)
+        _, _, agreement = extend_once(s, "sd")
         assert agreement is None
 
-    def test_forced_audit_beyond_cap_fails_loudly(self):
+    def test_forced_audit_beyond_cap_fails_loudly(self, monkeypatch):
+        monkeypatch.setenv(ML_CAP_ENV, "4")
         rng = np.random.default_rng(64)
         s = random_set(rng, 8, 8)
         with pytest.raises(CapExceeded):
-            extend_once(s, "sd", audit=True, ml_cap=4)
+            extend_once(s, "sd", audit=True)
 
     def test_audit_covers_non_optimal_methods_too(self):
         rng = np.random.default_rng(65)
@@ -209,11 +208,12 @@ class TestCompareMethods:
             assert row.tsc_descent >= row.tsc_sd
             assert row.tsc_quant >= row.tsc_descent
 
-    def test_cap_precondition(self):
+    def test_cap_precondition(self, monkeypatch):
+        monkeypatch.setenv(ML_CAP_ENV, "4")
         rng = np.random.default_rng(68)
         s = random_set(rng, 8, 8)
         with pytest.raises(CapExceeded):
-            compare_methods(s, ml_cap=4)
+            compare_methods(s)
 
 
 class TestOneShot:
@@ -239,7 +239,8 @@ class TestOneShot:
         assert entry.gap_quant == entry.row.tsc_quant - entry.bound.value
         assert entry.gap_ml == entry.row.tsc_ml - entry.bound.value
 
-    def test_set_above_cap_is_a_per_file_error(self, tmp_path):
+    def test_set_above_cap_is_a_per_file_error(self, tmp_path, monkeypatch):
+        monkeypatch.delenv(ML_CAP_ENV, raising=False)
         rng = np.random.default_rng(69)
         ok, big = tmp_path / "ok8.txt", tmp_path / "big25.txt"
         save_set(random_set(rng, 10, 8), ok)
@@ -249,7 +250,8 @@ class TestOneShot:
         assert last.row == first.row
         assert capped.row is None
         assert "cap of 24" in capped.error
-        (lowered,) = one_shot_experiment([ok], ml_cap=6).entries
+        monkeypatch.setenv(ML_CAP_ENV, "6")
+        (lowered,) = one_shot_experiment([ok]).entries
         assert lowered.row is None and "cap of 6" in lowered.error
 
 

@@ -95,6 +95,39 @@ class TestSignatureSet:
         assert s[-1] == Signature((-1, 1, 1))
         assert s[:2] == s.signatures[:2]
 
+    def test_indexing_builds_only_the_indexed_rows(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        s = random_set(rng, 28, 18)
+        built = []
+        validate = Signature.__post_init__
+
+        def counted(self):
+            built.append(self)
+            validate(self)
+
+        monkeypatch.setattr(Signature, "__post_init__", counted)
+        assert s[-1].chips == tuple(s.rows[-1].tolist())
+        assert len(built) == 1
+        pair = s[1:3]
+        assert isinstance(pair, tuple) and len(pair) == 2 and len(built) == 3
+        assert [list(sig.chips) for sig in pair] == s.rows[1:3].tolist()
+
+    @pytest.mark.parametrize("key", ["a", 1.0, (0, 1), [0], None])
+    def test_non_integer_keys_raise_type_error(self, key):
+        s = SignatureSet.from_rows([[1, -1], [1, 1]])
+        with pytest.raises(TypeError):
+            s[key]
+        with pytest.raises(TypeError):
+            s.signatures[key]
+
+    @pytest.mark.parametrize("key", [2, -3])
+    def test_out_of_range_raises_index_error(self, key):
+        s = SignatureSet.from_rows([[1, -1], [1, 1]])
+        with pytest.raises(IndexError):
+            s[key]
+        with pytest.raises(IndexError):
+            s.signatures[key]
+
     def test_shape(self):
         s = SignatureSet.from_rows([[1, 1, -1], [1, -1, 1]])
         assert s.k == 2 and s.length == 3
@@ -262,6 +295,43 @@ class TestCorrelationMatrix:
         m = correlation_matrix(hadamard_set(4))
         with pytest.raises(ValueError):
             m.entries[0, 0] = 99
+        m = correlation_matrix(random_set(np.random.default_rng(12), 5, 7))
+        with pytest.raises(ValueError):
+            m.entries[0, 0] = 99
+
+    def test_built_without_validation(self, monkeypatch):
+        validations = []
+        validate = CorrelationMatrix.__post_init__
+
+        def counted(self):
+            validations.append(self)
+            validate(self)
+
+        monkeypatch.setattr(CorrelationMatrix, "__post_init__", counted)
+        correlation_matrix(random_set(np.random.default_rng(13), 27, 18))
+        assert validations == []
+
+    @pytest.mark.parametrize("k, length", [(1, 1), (1, 9), (3, 8), (7, 12), (27, 18), (40, 5)])
+    def test_equals_the_validated_matrix(self, k, length):
+        rng = np.random.default_rng(k * 100 + length)
+        s = random_set(rng, k, length)
+        built = correlation_matrix(s)
+        checked = CorrelationMatrix(s.rows.T @ s.rows)
+        assert built.entries.dtype == np.int64
+        assert np.array_equal(built.entries, checked.entries)
+        assert built.abs_sum == checked.abs_sum
+        assert built.k == k and built.dim == length
+
+    def test_validated_at_the_int64_bound(self, monkeypatch):
+        # K * L^2 = 64 for Hadamard 4, and sum |R_ij| = 16: at a limit of 64
+        # the constructor validates and accepts; at 16 it refuses, with its
+        # own message.
+        h4 = hadamard_set(4)
+        monkeypatch.setattr(sigforge.sigcore, "INT64_LIMIT", 64)
+        assert correlation_matrix(h4).abs_sum == 16
+        monkeypatch.setattr(sigforge.sigcore, "INT64_LIMIT", 16)
+        with pytest.raises(ValueError, match=r"sum \|R_ij\| = 16 is not below 16"):
+            correlation_matrix(h4)
 
 
 class TestQuadraticMetric:
