@@ -1,9 +1,10 @@
 """Command-line entry point.
 
 Commands: tsc, bound, extend, chain, compare, report. Exit codes: 0 on
-success, 2 on validation failure (bad files, bad arguments, caps), 3 on
-internal-consistency failure (a guaranteed equality broke, which means the
-implementation is wrong, not the input).
+success, 2 on validation failure (bad files, bad arguments, caps, memory
+the input needs but cannot get), 3 on internal-consistency failure (a
+guaranteed equality broke, which means the implementation is wrong, not
+the input).
 """
 
 from __future__ import annotations
@@ -11,8 +12,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .bounds import Underloaded, binary_tsc_bound, load_bound_table, welch_bound
+from .bounds import binary_tsc_bound, load_bound_table, welch_bound
 from .harness import (
+    INPUT_ERRORS,
     METHODS,
     InternalConsistencyError,
     _METHOD_LABELS,
@@ -22,8 +24,8 @@ from .harness import (
     upscale_chain,
 )
 from .linalg import EigenFailure, SingularMatrix
-from .sigcore import SetFormatError, hadamard_set, load_set, save_set, tsc
-from .sphere import CapExceeded, EmptySphere
+from .sigcore import hadamard_set, load_set, save_set, tsc
+from .sphere import EmptySphere
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -182,7 +184,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except (SetFormatError, Underloaded, CapExceeded, ValueError, OSError) as exc:
+    except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (InternalConsistencyError, EmptySphere, SingularMatrix, EigenFailure) as exc:

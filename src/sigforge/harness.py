@@ -22,15 +22,8 @@ import json
 import os
 from dataclasses import dataclass, fields
 
-from .bounds import BoundValue, Underloaded, binary_tsc_bound, welch_bound
-from .sigcore import (
-    SetFormatError,
-    SignatureSet,
-    extend_set,
-    load_set,
-    tsc,
-    tsc_increment,
-)
+from .bounds import BoundValue, binary_tsc_bound, welch_bound
+from .sigcore import SignatureSet, extend_set, load_set, tsc, tsc_increment
 from .sphere import (
     DEFAULT_ML_CAP,
     CapExceeded,
@@ -49,11 +42,6 @@ __all__ = [
     "CompareEntry",
     "CompareReport",
     "InternalConsistencyError",
-    "METHODS",
-    "AUDIT_AUTO_MAX_L",
-    "ML_CAP_ENV",
-    "REPORT_SCHEMA",
-    "resolve_ml_cap",
     "extend_once",
     "upscale_chain",
     "compare_methods",
@@ -72,6 +60,10 @@ _METHOD_LABELS = {
 AUDIT_AUTO_MAX_L = 16
 ML_CAP_ENV = "SIGFORGE_ML_CAP"
 REPORT_SCHEMA = "sigforge.report/1"
+# Bad input or a limit hit: a file or argument that cannot be read or run,
+# including memory the set's size cannot get. The CLI exits 2 on these, and
+# a compare batch records them in that file's entry.
+INPUT_ERRORS = (ValueError, OSError, MemoryError, CapExceeded)
 
 
 def resolve_ml_cap() -> int:
@@ -337,8 +329,9 @@ def compare_methods(signature_set: SignatureSet) -> CompareRow:
 def one_shot_experiment(set_paths) -> CompareReport:
     """Batch comparison over set files, with TSC-minus-bound gap columns.
 
-    Per-file load and validation errors, and a set above the exhaustive
-    cap, land in that file's entry; the rest of the batch still runs.
+    Per-file load and validation errors, a set above the exhaustive cap and
+    memory a set cannot get (INPUT_ERRORS) land in that file's entry; the
+    rest of the batch still runs.
     Consistency failures are not per-file errors and propagate.
     """
     entries = []
@@ -347,7 +340,7 @@ def one_shot_experiment(set_paths) -> CompareReport:
         try:
             loaded = load_set(path)
             row = compare_methods(loaded)
-        except (OSError, SetFormatError, ValueError, Underloaded, CapExceeded) as exc:
+        except INPUT_ERRORS as exc:
             entries.append(CompareEntry(path=path, error=str(exc)))
             continue
         bound = _bound_after(row.k_after, row.length)

@@ -21,7 +21,7 @@ from operator import mul
 import numpy as np
 from numpy.linalg import LinAlgError, eigh
 
-from .sigcore import CorrelationMatrix, Signature
+from .sigcore import EXACT_SCAN_LIMIT, CorrelationMatrix, Signature
 
 __all__ = [
     "CholeskyFactor",
@@ -31,7 +31,6 @@ __all__ = [
     "cholesky",
     "min_eigenpair",
     "quantize_sign",
-    "PIVOT_FLOOR_COEFF",
 ]
 
 # Pivot floor is 1e-9 * K; a first failure adds that much jitter on the
@@ -163,8 +162,8 @@ def min_eigenpair(matrix: CorrelationMatrix) -> EigenPair:
     keep = norms > math.sqrt(EIGEN_TOL)
     candidates = candidates[:, keep] / norms[keep]
     # A float64 product runs on BLAS; every partial sum s^T R s is an integer
-    # of magnitude at most sum |R_ij|, so it is exact below 2^53.
-    form = dense if matrix.abs_sum < 1 << 53 else entries
+    # of magnitude at most sum |R_ij|, so it is exact below EXACT_SCAN_LIMIT.
+    form = dense if matrix.abs_sum < EXACT_SCAN_LIMIT else entries
     signs = _signs(candidates).astype(form.dtype)
     vector = candidates[:, int(np.argmin((signs * (form @ signs)).sum(axis=0)))]
     value = round(_exact_rayleigh(entries, vector), 12)

@@ -31,12 +31,14 @@ __all__ = [
     "hadamard_set",
     "load_set",
     "save_set",
-    "INT64_LIMIT",
 ]
 
 # int64 sums stay exact while their terms' magnitudes add up to less than
 # this: sum |R_ij| for R and its quadratic forms, (K*L)^2 for the TSC.
 INT64_LIMIT = 1 << 63
+# float64 sums of integers stay exact while their terms' magnitudes add up
+# to less than this: sum |R_ij| for the quadratic forms s^T R s.
+EXACT_SCAN_LIMIT = 1 << 53
 
 
 class SetFormatError(ValueError):
@@ -223,15 +225,16 @@ def tsc(signature_set: SignatureSet) -> int:
     """Total squared correlation: sum over all ordered pairs of (s_i . s_j)^2.
 
     Exact in int64 while (K*L)^2 < 2^63, and refused with ValueError beyond
-    that; equals trace((S S^T)^2) = ||R||_F^2.
+    that; equals trace((S S^T)^2) = ||R||_F^2, which sums the L x L R so
+    memory does not grow with K.
     """
     scale = (signature_set.k * signature_set.length) ** 2
     if scale >= INT64_LIMIT:
         raise ValueError(
             f"(K*L)^2 = {scale} is not below {INT64_LIMIT}, the bound for an exact int64 TSC"
         )
-    gram = signature_set.rows @ signature_set.rows.T
-    return int((gram * gram).sum())
+    r = signature_set.rows.T @ signature_set.rows
+    return int((r * r).sum())
 
 
 def correlation_matrix(signature_set: SignatureSet) -> CorrelationMatrix:

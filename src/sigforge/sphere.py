@@ -35,6 +35,7 @@ import numpy as np
 from .bounds import BoundOverflow, fp_operation_bound
 from .linalg import SingularMatrix, cholesky, min_eigenpair, quantize_sign
 from .sigcore import (
+    EXACT_SCAN_LIMIT,
     CorrelationMatrix,
     Signature,
     SignatureSet,
@@ -47,16 +48,12 @@ __all__ = [
     "StepAnalysis",
     "EmptySphere",
     "CapExceeded",
-    "InternalConsistencyError",
     "radius_squared",
     "certified_floor",
     "sphere_search",
     "ml_exhaustive",
     "local_descent_baseline",
     "analyse_step",
-    "RADIUS_EPS",
-    "DEFAULT_ML_CAP",
-    "EXACT_SCAN_LIMIT",
 ]
 
 # Multiplicative slack on the float budget; a boundary candidate (metric
@@ -69,9 +66,6 @@ RADIUS_EPS = 1e-9
 # boundary candidates, never wrong ones (exact re-scoring settles the rest).
 BUDGET_ABS_EPS = 1e-12
 DEFAULT_ML_CAP = 24
-# The exhaustive scan's float64 partial sums are exact integers while
-# sum |R_ij| stays below this.
-EXACT_SCAN_LIMIT = 1 << 53
 # Float64 entries per block of the exhaustive scan (2 MB).
 _BLOCK = 1 << 18
 # Rows per block of the sphere walk: fewer where the open blocks, up to

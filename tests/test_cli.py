@@ -22,6 +22,13 @@ def h4_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def h16_file(tmp_path):
+    path = tmp_path / "h16.txt"
+    save_set(hadamard_set(16), path)
+    return str(path)
+
+
 class TestTscCommand:
     def test_reports_exact_values(self, h4_file, capsys):
         assert main(["tsc", h4_file]) == 0
@@ -132,6 +139,15 @@ class TestExtendCommand:
         assert main(["extend", h4_file, "--method", "descent"]) == 0
         assert "method descent(stand-in)\n" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("method", ["sd", "ml", "quant", "descent"])
+    def test_audited_run_matches_golden_file(self, method, capsys):
+        # The overloaded L = 8 set (K 12 -> 13), audited: every printed
+        # line, byte for byte.
+        args = [str(DATA / "compare_overloaded.txt"), "--audit", "--method", method]
+        assert main(["extend", *args]) == 0
+        out = capsys.readouterr().out.encode("utf-8")
+        assert out == (DATA / f"extend_overloaded_{method}.txt").read_bytes()
+
 
 class TestChainCommand:
     def test_hadamard_chain(self, tmp_path, capsys):
@@ -155,6 +171,12 @@ class TestChainCommand:
         assert main(["chain", "--hadamard", "16", "--to", "32", "--save-set", str(out)]) == 0
         assert out.read_bytes() == (DATA / "reference_chain_set.txt").read_bytes()
 
+    def test_underloaded_run_matches_golden_file(self, capsys):
+        # The K = 3, L = 8 start grown to K = 10: every printed line.
+        assert main(["chain", str(DATA / "underloaded_start.txt"), "--to", "10"]) == 0
+        out = capsys.readouterr().out.encode("utf-8")
+        assert out == (DATA / "chain_underloaded.txt").read_bytes()
+
     def test_start_must_be_unambiguous(self, h4_file, capsys):
         assert main(["chain", h4_file, "--hadamard", "4", "--to", "8"]) == 2
         assert main(["chain", "--to", "8"]) == 2
@@ -173,12 +195,6 @@ class TestChainCommand:
 
 class TestExhaustiveScanLimits:
     """The scan's float64 range surfaces through the CLI exit codes."""
-
-    @pytest.fixture
-    def h16_file(self, tmp_path):
-        path = tmp_path / "h16.txt"
-        save_set(hadamard_set(16), path)
-        return str(path)
 
     @staticmethod
     def use_matrix(monkeypatch, entries):
@@ -219,6 +235,40 @@ class TestInt64Limits:
         assert main(["extend", str(path)]) == 2
         err = capsys.readouterr().err
         assert "error:" in err and "sum |R_ij|" in err
+
+
+class TestRefusedAllocation:
+    """Memory the input needs but cannot get is bad input: exit 2, no
+    traceback, and in a compare batch an error row for that file only."""
+
+    @pytest.fixture
+    def refuse_l16(self, monkeypatch):
+        build = sigforge.sphere.correlation_matrix
+
+        def refused(signature_set):
+            if signature_set.length == 16:
+                raise MemoryError("Unable to allocate R")
+            return build(signature_set)
+
+        monkeypatch.setattr(sigforge.sphere, "correlation_matrix", refused)
+
+    def test_extend_exits_2(self, h16_file, capsys, refuse_l16):
+        assert main(["extend", h16_file]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: Unable to allocate R\n"
+        assert "Traceback" not in err
+
+    def test_compare_keeps_the_batch(self, h16_file, capsys, refuse_l16):
+        h4_file = str(DATA / "compare_h4.txt")
+        assert main(["compare", h16_file, h4_file]) == 2
+        captured = capsys.readouterr()
+        header, refused, computed = captured.out.strip().split("\n")
+        assert refused == h16_file + "," * 14 + "Unable to allocate R"
+        # The next file's row is the golden batch's, path aside.
+        golden = (DATA / "reference_compare.csv").read_text().split("\n")[1]
+        assert golden.startswith("tests/data/compare_h4.txt,5,4,")
+        assert computed.split(",", 1)[1] == golden.split(",", 1)[1]
+        assert "Traceback" not in captured.err
 
 
 class TestCompareCommand:

@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -221,6 +222,29 @@ class TestTsc:
         s = SignatureSet.from_rows(rows)
         entries = correlation_matrix(s).entries.tolist()
         assert tsc(s) == sum(r * r for row in entries for r in row)
+
+    def test_equals_gram_form(self):
+        # The L x L sum gives the K x K Gram matrix's exact integer, K < L
+        # and K = 1 included.
+        rng = np.random.default_rng(19)
+        shapes = [(1, 1), (1, 9), (3, 12), (12, 3), (27, 18), (40, 40)]
+        for k, length in shapes:
+            s = random_set(rng, k, length)
+            gram = s.rows @ s.rows.T
+            assert tsc(s) == int((gram * gram).sum())
+
+    def test_memory_does_not_grow_with_k(self):
+        # The K x K Gram matrix alone would be 32 MB here; R is 4 x 4.
+        s = random_set(np.random.default_rng(20), 2000, 4)
+        tracemalloc.start()
+        try:
+            value = tsc(s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        gram = s.rows @ s.rows.T
+        assert value == int((gram * gram).sum())
+        assert peak < 1 << 20
 
 
 class TestCorrelationMatrix:
