@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from fractions import Fraction
+import numbers
+
+from .sigcore import Record
 
 __all__ = [
     "BoundValue",
@@ -44,32 +45,31 @@ class BoundOverflow(OverflowError):
         self.saturated = True
 
 
-@dataclass(frozen=True)
-class BoundValue:
+class BoundValue(Record):
     """A bound together with the rule that produced it.
 
     kind is one of "welch", "binary_table", "binary_fallback_welch".
     """
 
-    value: int | float
-    kind: str
-
+    __slots__ = ("value", "kind")
     _KINDS = ("welch", "binary_table", "binary_fallback_welch")
+
+    def __init__(self, value: int | float, kind: str):
+        super().__init__(value, kind)
 
     def __post_init__(self):
         if self.kind not in self._KINDS:
             raise ValueError(f"unknown bound kind {self.kind!r}")
 
 
-@dataclass(frozen=True)
-class _Case:
-    terms: tuple[tuple[Fraction, int, int], ...]
-    achievable: bool
+class _Case(Record):
+    __slots__ = ("terms", "achievable")
+
+    def __init__(self, terms: tuple[tuple[numbers.Rational, int, int], ...], achievable: bool):
+        super().__init__(terms, achievable)
 
     def evaluate(self, k: int, length: int) -> int:
-        total = Fraction(0)
-        for coeff, k_pow, l_pow in self.terms:
-            total += coeff * k**k_pow * length**l_pow
+        total = sum(coeff * k**k_pow * length**l_pow for coeff, k_pow, l_pow in self.terms)
         if total.denominator != 1:
             raise ValueError(
                 f"bound table case evaluates to non-integer {total} at K={k}, L={length}"
@@ -77,8 +77,7 @@ class _Case:
         return int(total)
 
 
-@dataclass(frozen=True)
-class BoundTable:
+class BoundTable(Record):
     """Binary-bound case table keyed by (K mod 4, L mod 4).
 
     Each case holds polynomial terms (coeff, K-power, L-power); the bound is
@@ -86,7 +85,10 @@ class BoundTable:
     that the bound is achievable by some binary set.
     """
 
-    cases: dict
+    __slots__ = ("cases",)
+
+    def __init__(self, cases: dict):
+        super().__init__(cases)
 
     def case_for(self, k: int, length: int) -> _Case | None:
         return self.cases.get((k % 4, length % 4))
@@ -96,7 +98,8 @@ def _is_integer(raw) -> bool:
     return isinstance(raw, int) and not isinstance(raw, bool)
 
 
-def _parse_coeff(raw) -> Fraction:
+def _parse_coeff(raw) -> numbers.Rational:
+    from fractions import Fraction
     # JSON admits Infinity and NaN, which have no Fraction.
     if not (_is_integer(raw) or isinstance(raw, float) and math.isfinite(raw)):
         raise ValueError(f"coefficient must be a finite number, got {raw!r}")

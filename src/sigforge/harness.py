@@ -16,14 +16,12 @@ scan costs nothing.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 import os
-from dataclasses import dataclass, fields
 
 from .bounds import BoundValue, binary_tsc_bound, welch_bound
-from .sigcore import SignatureSet, extend_set, load_set, tsc, tsc_increment
+from .sigcore import Record, SignatureSet, extend_set, load_set, tsc, tsc_increment
 from .sphere import (
     DEFAULT_ML_CAP,
     CapExceeded,
@@ -81,25 +79,21 @@ def resolve_ml_cap() -> int:
     return cap
 
 
-@dataclass(frozen=True)
-class ExtensionRecord:
+class ExtensionRecord(Record):
     """Everything observable about one K -> K+1 extension."""
 
-    k_before: int
-    length: int
-    tsc_before: int
-    tsc_after: int
-    method: str
-    metric: int
-    radius_c: float
-    lambda_min: float
-    nodes_visited: int
-    candidates_enumerated: int
-    fp_bound: float | None
-    jitter_applied: bool
-    welch_after: BoundValue
-    binary_bound_after: BoundValue
-    audit_agreement: bool | None = None  # True: sd and ml agreed; None: unaudited
+    __slots__ = ("k_before", "length", "tsc_before", "tsc_after", "method", "metric", "radius_c",
+                 "lambda_min", "nodes_visited", "candidates_enumerated", "fp_bound",
+                 "jitter_applied", "welch_after", "binary_bound_after", "audit_agreement")
+
+    def __init__(self, k_before: int, length: int, tsc_before: int, tsc_after: int,
+                 method: str, metric: int, radius_c: float, lambda_min: float,
+                 nodes_visited: int, candidates_enumerated: int, fp_bound: float | None,
+                 jitter_applied: bool, welch_after: BoundValue, binary_bound_after: BoundValue,
+                 audit_agreement: bool | None = None):  # True: sd and ml agreed; None: unaudited
+        super().__init__(k_before, length, tsc_before, tsc_after, method, metric, radius_c,
+                         lambda_min, nodes_visited, candidates_enumerated, fp_bound,
+                         jitter_applied, welch_after, binary_bound_after, audit_agreement)
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -125,15 +119,14 @@ class ExtensionRecord:
         return self.k_before + 1
 
 
-@dataclass(frozen=True)
-class ChainReport:
+class ChainReport(Record):
     """Consecutive one-by-one extensions from a fixed initial set."""
 
-    method: str
-    initial_k: int
-    initial_length: int
-    records: tuple
-    final_set: SignatureSet
+    __slots__ = ("method", "initial_k", "initial_length", "records", "final_set")
+
+    def __init__(self, method: str, initial_k: int, initial_length: int, records: tuple,
+                 final_set: SignatureSet):
+        super().__init__(method, initial_k, initial_length, records, final_set)
 
     def __post_init__(self):
         previous = None
@@ -151,37 +144,34 @@ class ChainReport:
         return tuple(record.audit_agreement for record in self.records)
 
 
-@dataclass(frozen=True)
-class CompareRow:
+class CompareRow(Record):
     """One K -> K+1 comparison of all four methods on the same set."""
 
-    k_after: int
-    length: int
-    tsc_before: int
-    tsc_quant: int
-    tsc_descent: int
-    tsc_sd: int
-    tsc_ml: int
+    __slots__ = ("k_after", "length", "tsc_before", "tsc_quant", "tsc_descent", "tsc_sd", "tsc_ml")
+
+    def __init__(self, k_after: int, length: int, tsc_before: int, tsc_quant: int,
+                 tsc_descent: int, tsc_sd: int, tsc_ml: int):
+        super().__init__(k_after, length, tsc_before, tsc_quant, tsc_descent, tsc_sd, tsc_ml)
 
 
-@dataclass(frozen=True)
-class CompareEntry:
+class CompareEntry(Record):
     """One input file's outcome in a batch comparison; either a row with
     bound gaps or a per-file error message."""
 
-    path: str
-    error: str | None = None
-    row: CompareRow | None = None
-    bound: BoundValue | None = None
-    gap_quant: int | None = None
-    gap_descent: int | None = None
-    gap_sd: int | None = None
-    gap_ml: int | None = None
+    __slots__ = ("path", "error", "row", "bound", "gap_quant", "gap_descent", "gap_sd", "gap_ml")
+
+    def __init__(self, path: str, error: str | None = None, row: CompareRow | None = None,
+                 bound: BoundValue | None = None, gap_quant: int | None = None,
+                 gap_descent: int | None = None, gap_sd: int | None = None,
+                 gap_ml: int | None = None):
+        super().__init__(path, error, row, bound, gap_quant, gap_descent, gap_sd, gap_ml)
 
 
-@dataclass(frozen=True)
-class CompareReport:
-    entries: tuple
+class CompareReport(Record):
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: tuple):
+        super().__init__(entries)
 
 
 def _bound_after(k_after: int, length: int) -> BoundValue:
@@ -380,7 +370,7 @@ def _bound_json(bound: BoundValue | None) -> dict | None:
 
 def _step_json(record: ExtensionRecord) -> dict:
     """One chain step: the record's fields, its k_after and label."""
-    step = {f.name: getattr(record, f.name) for f in fields(record)}
+    step = {name: getattr(record, name) for name in record.__slots__}
     step.update(
         k_after=record.k_after,
         method=_METHOD_LABELS[record.method],
@@ -392,9 +382,9 @@ def _step_json(record: ExtensionRecord) -> dict:
 
 def _entry_json(entry: CompareEntry) -> dict:
     """One compare entry, its row inlined; an error entry's row reads as null."""
-    obj = {f.name: getattr(entry, f.name) for f in fields(entry)}
+    obj = {name: getattr(entry, name) for name in entry.__slots__}
     row = obj.pop("row")
-    obj.update((f.name, getattr(row, f.name, None)) for f in fields(CompareRow))
+    obj.update((name, getattr(row, name, None)) for name in CompareRow.__slots__)
     obj["binary_bound"] = _bound_json(obj.pop("bound"))
     return obj
 
@@ -439,6 +429,7 @@ def emit_report(report, fmt: str) -> bytes:
     if fmt == "json":
         text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
         return (text + "\n").encode("utf-8")
+    import csv
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(columns)

@@ -15,13 +15,12 @@ search results from the floating point done in this module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import mul
 
 import numpy as np
 from numpy.linalg import LinAlgError, eigh
 
-from .sigcore import EXACT_SCAN_LIMIT, CorrelationMatrix, Signature
+from .sigcore import EXACT_SCAN_LIMIT, CorrelationMatrix, Record, Signature
 
 __all__ = [
     "CholeskyFactor",
@@ -55,8 +54,7 @@ class EigenFailure(ArithmeticError):
         self.residual = residual
 
 
-@dataclass(frozen=True, eq=False)
-class CholeskyFactor:
+class CholeskyFactor(Record):
     """Upper-triangular U with U^T U equal to the (possibly jittered) input.
 
     ``jitter`` is the diagonal shift that was added before factoring
@@ -64,8 +62,11 @@ class CholeskyFactor:
     is not checked again here.
     """
 
-    entries: np.ndarray
-    jitter: float = 0.0
+    __slots__ = ("entries", "jitter")
+    __eq__, __hash__ = object.__eq__, object.__hash__  # equal only to itself
+
+    def __init__(self, entries: np.ndarray, jitter: float = 0.0):
+        super().__init__(entries, jitter)
 
     def __post_init__(self):
         u = np.asarray(self.entries, dtype=np.float64)
@@ -73,12 +74,14 @@ class CholeskyFactor:
         object.__setattr__(self, "entries", u)
 
 
-@dataclass(frozen=True, eq=False)
-class EigenPair:
+class EigenPair(Record):
     """Smallest eigenvalue of a symmetric matrix with a unit eigenvector."""
 
-    value: float
-    vector: np.ndarray
+    __slots__ = ("value", "vector")
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, value: float, vector: np.ndarray):
+        super().__init__(value, vector)
 
     def __post_init__(self):
         v = np.asarray(self.vector, dtype=np.float64)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import numbers
 import operator
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -45,14 +44,51 @@ class SetFormatError(ValueError):
     """A signature-set file violates the text format."""
 
 
-@dataclass(frozen=True)
-class Signature:
+class Record:
+    """Base of sigforge's records: ``__init__`` sets the ``__slots__`` fields in order and
+    ``__post_init__`` checks them; they are read-only after. Records of one class with equal
+    fields are equal and hash alike; copies and pickles are rebuilt by the constructor."""
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+
+    def __post_init__(self):
+        """Validate or normalise the fields; the base accepts any."""
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} fields are read-only, got {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class Signature(Record):
     """A length-L spreading code over the antipodal alphabet {-1, +1}.
 
     Immutable and hashable; the squared norm is exactly L by construction.
     """
 
-    chips: tuple[int, ...]
+    __slots__ = ("chips",)
+
+    def __init__(self, chips: tuple[int, ...]):
+        super().__init__(chips)
 
     def __post_init__(self):
         chips = tuple(self.chips)
@@ -86,15 +122,14 @@ class Signature:
         return Signature(tuple(chips))
 
 
-@dataclass(frozen=True, eq=False, init=False)
-class SignatureSet:
+class SignatureSet(Record):
     """An ordered collection of K signatures sharing one common length L.
 
     ``rows`` holds them as one read-only K x L int64 array of +-1, validated
     once; ``Signature`` objects are built from it on request.
     """
 
-    rows: np.ndarray
+    __slots__ = ("rows",)
 
     def __init__(self, signatures: Iterable[Signature]):
         sigs = tuple(signatures)
@@ -108,7 +143,8 @@ class SignatureSet:
                     f"all signatures must share one length, got {len(s)} and {len(sigs[0])}"
                 )
         rows = np.array([s.chips for s in sigs], dtype=np.int64)
-        object.__setattr__(self, "rows", _wrap(rows).rows)
+        rows.setflags(write=False)
+        super().__init__(rows)
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]]) -> SignatureSet:
@@ -159,8 +195,7 @@ def _wrap(rows: np.ndarray) -> SignatureSet:
     return signature_set
 
 
-@dataclass(frozen=True, eq=False)
-class CorrelationMatrix:
+class CorrelationMatrix(Record):
     """Integer autocorrelation matrix sum_i s_i s_i^T of a signature set.
 
     Symmetric with a constant diagonal equal to the number K of contributing
@@ -169,8 +204,10 @@ class CorrelationMatrix:
     s^T R s over +-1 vectors is exact in int64.
     """
 
-    entries: np.ndarray
-    abs_sum: int = field(init=False, repr=False)  # the exact sum |R_ij|
+    __slots__ = ("entries", "abs_sum")  # abs_sum: the exact sum |R_ij|
+
+    def __init__(self, entries: np.ndarray):
+        super().__init__(entries)
 
     def __post_init__(self):
         a = np.asarray(self.entries)
@@ -219,6 +256,9 @@ class CorrelationMatrix:
         if not isinstance(other, CorrelationMatrix):
             return NotImplemented
         return np.array_equal(self.entries, other.entries)
+
+    def __reduce__(self):
+        return CorrelationMatrix, (self.entries,)
 
 
 def tsc(signature_set: SignatureSet) -> int:

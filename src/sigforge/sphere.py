@@ -37,6 +37,7 @@ from .linalg import SingularMatrix, cholesky, min_eigenpair, quantize_sign
 from .sigcore import (
     EXACT_SCAN_LIMIT,
     CorrelationMatrix,
+    Record,
     Signature,
     SignatureSet,
     correlation_matrix,
@@ -202,10 +203,10 @@ def sphere_search(
     first leaf at the minimal metric is returned.
 
     b is the proposal ceil(lambda_min * L), or 0 when no ``lambda_min`` is
-    given or A for the proposal needs jitter (L*R + 2I >= 2I never does).
-    Any A that factors ranks leaves as R does; only a floor proven by
-    ``certified_floor``, asked once a leaf's exact metric reaches the
-    proposal, stops the walk.
+    given or A for the proposal needs jitter; L*R + 2I >= 2I is factored
+    once, and a jitter that rounding makes it need widens the budget. Any A
+    that factors ranks leaves as R does; only a floor proven by ``certified_floor``,
+    asked once a leaf's exact metric reaches the proposal, stops the walk.
 
     The tree is expanded in blocks: a block is a lexicographically ordered
     run of admitted nodes at one level, and one matrix-vector product scores
@@ -249,8 +250,10 @@ def sphere_search(
     try:
         u = cholesky(entries)
     except SingularMatrix:
+        if shift == -2:
+            raise
         u = None
-    if u is None or u.jitter:
+    if shift != -2 and (u is None or u.jitter):
         shift = -2
         np.fill_diagonal(entries, dim * matrix.k - shift)
         u = cholesky(entries)
@@ -472,8 +475,7 @@ def local_descent_baseline(matrix: CorrelationMatrix, start: Signature) -> Searc
     )
 
 
-@dataclass(frozen=True, eq=False)
-class StepAnalysis:
+class StepAnalysis(Record):
     """What one extension step knows before any search.
 
     R, its minimum eigenvalue, the sign-quantized eigenvector and its exact
@@ -483,12 +485,12 @@ class StepAnalysis:
     walk factors its own shifted form.
     """
 
-    matrix: CorrelationMatrix
-    lambda_min: float
-    quantized: Signature
-    quant_metric: int
-    jitter_applied: bool
-    fp_bound: float | None
+    __slots__ = ("matrix", "lambda_min", "quantized", "quant_metric", "jitter_applied", "fp_bound")
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, matrix: CorrelationMatrix, lambda_min: float, quantized: Signature,
+                 quant_metric: int, jitter_applied: bool, fp_bound: float | None):
+        super().__init__(matrix, lambda_min, quantized, quant_metric, jitter_applied, fp_bound)
 
     @property
     def radius(self) -> float:

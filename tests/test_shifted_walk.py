@@ -10,6 +10,7 @@ import sigforge.sphere
 from sigforge import (
     CorrelationMatrix,
     SignatureSet,
+    SingularMatrix,
     certified_floor,
     cholesky,
     correlation_matrix,
@@ -167,6 +168,41 @@ class TestDerivedMatrices:
         assert cholesky(calls[0]).jitter == 0.0
         scan = ml_exhaustive(step.matrix)
         assert (result.best, result.best_metric) == (scan.best, scan.best_metric)
+
+
+class TestOneFactorOfLRPlus2I:
+    """Without a proposal above 0 the walked form is already L*R + 2I, so a
+    jittered factor of it is walked as it is, and a SingularMatrix from it
+    propagates."""
+
+    # R = [[K, K], [K, K]] is valid; 2R + 2I at K = 4 * 10^9 needs jitter.
+    K = 4_000_000_000
+
+    @pytest.mark.parametrize("lambda_min", [0.0, None])
+    def test_jittered_form_factored_once(self, lambda_min, monkeypatch):
+        matrix = CorrelationMatrix(np.full((2, 2), self.K, dtype=np.int64))
+        calls = counting_cholesky(monkeypatch)
+        result = sphere_search(matrix, 0.0, lambda_min=lambda_min)
+        assert len(calls) == 1
+        assert np.array_equal(calls[0], 2 * matrix.entries + 2 * np.eye(2))
+        assert cholesky(calls[0]).jitter > 0.0
+        scan = ml_exhaustive(matrix)
+        assert (result.best, result.best_metric) == (scan.best, 0)
+
+    @pytest.mark.parametrize("lambda_min, factored", [(0.0, 1), (None, 1), (100.0, 2)])
+    def test_singular_l_r_plus_2i_propagates(self, lambda_min, factored, monkeypatch):
+        calls = []
+
+        def singular(entries):
+            calls.append(entries)
+            raise SingularMatrix("forced")
+
+        monkeypatch.setattr(sigforge.sphere, "cholesky", singular)
+        matrix = correlation_matrix(hadamard_set(8))
+        with pytest.raises(SingularMatrix):
+            sphere_search(matrix, 64.0, lambda_min=lambda_min)
+        assert len(calls) == factored
+        assert np.array_equal(calls[-1], 8 * matrix.entries + 2 * np.eye(8))
 
 
 @pytest.fixture(scope="module")
