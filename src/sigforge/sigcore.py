@@ -47,7 +47,7 @@ class SetFormatError(ValueError):
 class Record:
     """Base of sigforge's records: ``__init__`` sets the ``__slots__`` fields in order and
     ``__post_init__`` checks them; they are read-only after. Records of one class with equal
-    fields are equal and hash alike; copies and pickles are rebuilt by the constructor."""
+    fields are equal and hash alike; copies and pickles are rebuilt unchecked by ``_trusted``."""
 
     __slots__ = ()
 
@@ -55,6 +55,17 @@ class Record:
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
         self.__post_init__()
+
+    @classmethod
+    def _trusted(cls, *values):
+        """A record of values already checked: the fields are set in order without
+        ``__post_init__``, and each ndarray among them is made read-only."""
+        record = object.__new__(cls)
+        for name, value in zip(cls.__slots__, values):
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+            object.__setattr__(record, name, value)
+        return record
 
     def __post_init__(self):
         """Validate or normalise the fields; the base accepts any."""
@@ -76,7 +87,7 @@ class Record:
         return hash(self._values())
 
     def __reduce__(self):
-        return type(self), self._values()
+        return self._trusted, self._values()
 
 
 class Signature(Record):
@@ -179,20 +190,20 @@ class SignatureSet(Record):
     def __hash__(self) -> int:
         return hash((self.rows.shape, self.rows.tobytes()))
 
-    def __reduce__(self):  # copies and unpickled sets hold read-only rows too
-        return _wrap, (self.matrix(),)
-
     def matrix(self) -> np.ndarray:
         """Signatures stacked as a fresh K x L int64 array (one row per signature)."""
         return self.rows.copy()
 
 
-def _wrap(rows: np.ndarray) -> SignatureSet:
-    """A set holding a validated K x L int64 array of +-1 as its read-only rows."""
-    rows.setflags(write=False)
-    signature_set = object.__new__(SignatureSet)
-    object.__setattr__(signature_set, "rows", rows)
-    return signature_set
+def _abs_sum(magnitudes: Iterable[int]) -> int:
+    """The exact sum |R_ij| from the |R_ij| or their partial sums; refused with
+    ValueError when it is not below 2^63."""
+    total = sum(magnitudes)
+    if total >= INT64_LIMIT:
+        raise ValueError(
+            f"sum |R_ij| = {total} is not below {INT64_LIMIT}, the bound for exact int64 metrics"
+        )
+    return total
 
 
 class CorrelationMatrix(Record):
@@ -227,12 +238,7 @@ class CorrelationMatrix(Record):
             if not np.array_equal(rounded, a):
                 raise ValueError("correlation matrix entries must be integers")
             a = rounded
-        magnitude = sum(map(abs, map(int, a.ravel().tolist())))
-        if magnitude >= INT64_LIMIT:
-            raise ValueError(
-                f"sum |R_ij| = {magnitude} is not below {INT64_LIMIT}, "
-                "the bound for exact int64 metrics"
-            )
+        magnitude = _abs_sum(map(abs, map(int, a.ravel().tolist())))
         a = a.astype(np.int64)
         if not np.array_equal(a, a.T):
             raise ValueError("correlation matrix must be symmetric")
@@ -257,9 +263,6 @@ class CorrelationMatrix(Record):
             return NotImplemented
         return np.array_equal(self.entries, other.entries)
 
-    def __reduce__(self):
-        return CorrelationMatrix, (self.entries,)
-
 
 def tsc(signature_set: SignatureSet) -> int:
     """Total squared correlation: sum over all ordered pairs of (s_i . s_j)^2.
@@ -281,18 +284,11 @@ def correlation_matrix(signature_set: SignatureSet) -> CorrelationMatrix:
     """Exact integer autocorrelation matrix of the set.
 
     R = S^T S of validated +-1 rows is symmetric with diagonal K and every
-    |R_ij| <= K, so it is wrapped unchecked while K * L^2, a bound on
-    sum |R_ij|, is below 2^63; beyond that the validating constructor decides.
+    |R_ij| <= K, so each row sums to at most K * L in int64; the exact total of
+    those row sums decides the 2^63 refusal, and R is built without a check.
     """
-    rows = signature_set.rows
-    product = rows.T @ rows
-    if signature_set.k * signature_set.length**2 >= INT64_LIMIT:
-        return CorrelationMatrix(product)
-    product.setflags(write=False)
-    matrix = object.__new__(CorrelationMatrix)
-    object.__setattr__(matrix, "entries", product)
-    object.__setattr__(matrix, "abs_sum", int(np.abs(product).sum()))
-    return matrix
+    product = signature_set.rows.T @ signature_set.rows
+    return CorrelationMatrix._trusted(product, _abs_sum(np.abs(product).sum(axis=1).tolist()))
 
 
 def quadratic_metric(matrix: CorrelationMatrix, signature: Signature) -> int:
@@ -326,7 +322,7 @@ def extend_set(signature_set: SignatureSet, signature: Signature) -> SignatureSe
             f"dimension mismatch: set has length {signature_set.length}, "
             f"signature has length {len(signature)}"
         )
-    return _wrap(np.vstack((signature_set.rows, SignatureSet((signature,)).rows)))
+    return SignatureSet._trusted(np.vstack((signature_set.rows, SignatureSet((signature,)).rows)))
 
 
 def hadamard_set(length: int) -> SignatureSet:
@@ -339,7 +335,7 @@ def hadamard_set(length: int) -> SignatureSet:
     h = np.array([[1]], dtype=np.int64)
     while h.shape[0] < length:
         h = np.block([[h, h], [h, -h]])
-    return _wrap(h)
+    return SignatureSet._trusted(h)
 
 
 def save_set(signature_set: SignatureSet, path) -> None:
@@ -385,4 +381,5 @@ def load_set(path) -> SignatureSet:
             raise SetFormatError(f"line {lineno}: invalid entry {bad!r} (alphabet is '+1'/'-1')")
     # Every token is "+1" or "-1", so every other character is a sign.
     signs = np.frombuffer("".join(map("".join, rows)).encode("ascii"), np.uint8)[::2]
-    return _wrap(np.where(signs == ord("+"), np.int64(1), np.int64(-1)).reshape(k, length))
+    rows = np.where(signs == ord("+"), np.int64(1), np.int64(-1)).reshape(k, length)
+    return SignatureSet._trusted(rows)

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from operator import mul
 
 import numpy as np
@@ -91,8 +90,7 @@ class InternalConsistencyError(RuntimeError):
     """A guaranteed-equal quantity came out unequal; the build is wrong."""
 
 
-@dataclass(frozen=True, eq=False)
-class SearchResult:
+class SearchResult(Record):
     """Outcome of one search, with exact integer scoring.
 
     ``candidates`` holds the enumerated (signature, exact metric) pairs in
@@ -102,13 +100,14 @@ class SearchResult:
     unbounded oracles.
     """
 
-    best: Signature
-    best_metric: int
-    candidates_enumerated: int
-    nodes_visited: int
-    radius_c: float
-    ties: int
-    candidates: tuple | None = None
+    __slots__ = ("best", "best_metric", "candidates_enumerated", "nodes_visited", "radius_c",
+                 "ties", "candidates")
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, best: Signature, best_metric: int, candidates_enumerated: int,
+                 nodes_visited: int, radius_c: float, ties: int, candidates: tuple | None = None):
+        super().__init__(best, best_metric, candidates_enumerated, nodes_visited, radius_c, ties,
+                         candidates)
 
 
 def radius_squared(matrix: CorrelationMatrix, quantized: Signature) -> float:

@@ -6,7 +6,6 @@ so every run log ends with the full verdict list.
 """
 
 import contextlib
-import dataclasses
 
 import pytest
 
@@ -44,7 +43,8 @@ def wrong_scan(monkeypatch):
 
     def off_by_one(matrix, cap):
         result = scan(matrix, cap)
-        return dataclasses.replace(result, best_metric=result.best_metric + 1)
+        fields = {name: getattr(result, name) for name in result.__slots__}
+        return type(result)(**dict(fields, best_metric=result.best_metric + 1))
 
     monkeypatch.setattr(sigforge.harness, "ml_exhaustive", off_by_one)
 

@@ -1,7 +1,6 @@
 """First-optimum sphere walk: same answer as the scan, certified floor,
 iterative depth, and node counts on the reference chain."""
 
-import dataclasses
 import sys
 
 import numpy as np
@@ -72,7 +71,7 @@ def underloaded_sets(draw):
 
 
 def fields_of(result):
-    return tuple(getattr(result, f.name) for f in dataclasses.fields(result))
+    return tuple(getattr(result, name) for name in result.__slots__)
 
 
 def assert_first_optimum_is_exact(signature_set):

@@ -1,5 +1,5 @@
-"""What importing the CLI loads: no dataclass code generation beyond
-SearchResult's, and no fractions, decimal or csv until a run uses them."""
+"""What importing the CLI loads: no dataclass code generation, and no
+fractions, decimal or csv until a run uses them."""
 
 import os
 import subprocess
@@ -28,4 +28,4 @@ def test_cli_import_footprint():
     done = subprocess.run(
         [sys.executable, "-c", PROBE], env=env, capture_output=True, text=True, check=True
     )
-    assert done.stdout.splitlines() == ["[]", "['SearchResult']"]
+    assert done.stdout.splitlines() == ["[]", "[]"]

@@ -19,6 +19,7 @@ from sigforge import (
     CorrelationMatrix,
     EigenPair,
     ExtensionRecord,
+    SearchResult,
     Signature,
     SignatureSet,
     StepAnalysis,
@@ -27,6 +28,7 @@ from sigforge import (
     extend_once,
     hadamard_set,
     min_eigenpair,
+    sphere_search,
     upscale_chain,
     welch_bound,
 )
@@ -48,6 +50,11 @@ PARAMETERS = {
     StepAnalysis: [
         ("matrix", NO_DEFAULT), ("lambda_min", NO_DEFAULT), ("quantized", NO_DEFAULT),
         ("quant_metric", NO_DEFAULT), ("jitter_applied", NO_DEFAULT), ("fp_bound", NO_DEFAULT),
+    ],
+    SearchResult: [
+        ("best", NO_DEFAULT), ("best_metric", NO_DEFAULT), ("candidates_enumerated", NO_DEFAULT),
+        ("nodes_visited", NO_DEFAULT), ("radius_c", NO_DEFAULT), ("ties", NO_DEFAULT),
+        ("candidates", None),
     ],
     ExtensionRecord: [
         ("k_before", NO_DEFAULT), ("length", NO_DEFAULT), ("tsc_before", NO_DEFAULT),
@@ -86,6 +93,11 @@ def compare_entry(path):
     return CompareEntry(path, row=row, bound=bound, gap_sd=row.tsc_sd - bound.value)
 
 
+def fixed_radius_walk(signature_set):
+    step = analyse_step(signature_set)
+    return sphere_search(step.matrix, step.radius)  # keeps its candidates
+
+
 # Each class builds two distinct instances from the same values and, for
 # the classes equal by value, one with other values.
 BUILD = {
@@ -104,6 +116,7 @@ BUILD = {
     CholeskyFactor: (lambda: CholeskyFactor(np.eye(3), 0.5), None),
     EigenPair: (lambda: min_eigenpair(correlation_matrix(overloaded_set())), None),
     StepAnalysis: (lambda: analyse_step(overloaded_set()), None),
+    SearchResult: (lambda: fixed_radius_walk(overloaded_set()), None),
     ExtensionRecord: (
         lambda: extend_once(overloaded_set(), "sd")[1],
         lambda: extend_once(overloaded_set(), "quant")[1],
@@ -126,7 +139,7 @@ VALUE_EQUAL = {
     BoundValue, _Case, BoundTable, Signature, ExtensionRecord, ChainReport,
     CompareRow, CompareEntry, CompareReport,
 }
-IDENTITY_EQUAL = {CholeskyFactor, EigenPair, StepAnalysis}
+IDENTITY_EQUAL = {CholeskyFactor, EigenPair, StepAnalysis, SearchResult}
 
 CLASSES = list(PARAMETERS)
 
@@ -154,7 +167,7 @@ def test_every_class_is_covered():
     assert set(PARAMETERS) == set(BUILD) == VALUE_EQUAL | IDENTITY_EQUAL | {
         SignatureSet, CorrelationMatrix,
     }
-    assert len(CLASSES) == 14
+    assert len(CLASSES) == 15
 
 
 @pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
@@ -218,10 +231,26 @@ def test_correlation_matrix_copy_keeps_abs_sum_out_of_the_constructor():
 
 @pytest.mark.parametrize("cls", [SignatureSet, CorrelationMatrix, CholeskyFactor, EigenPair])
 def test_copies_hold_read_only_arrays(cls):
-    # A deep copy or an unpickled record is built by the constructor, which
+    # A copy or an unpickled record is rebuilt by Record._trusted, which
     # makes its array read-only again.
     original = BUILD[cls][0]()
-    for clone in (copy.deepcopy(original), pickle.loads(pickle.dumps(original))):
+    for clone in (copy.copy(original), copy.deepcopy(original), pickle.loads(pickle.dumps(original))):
         arrays = [getattr(clone, name) for name in cls.__slots__]
         arrays = [a for a in arrays if isinstance(a, np.ndarray)]
         assert len(arrays) == 1 and not arrays[0].flags.writeable
+
+
+@pytest.mark.parametrize("cls", [SignatureSet, CorrelationMatrix])
+def test_copies_are_built_without_validation(cls, monkeypatch):
+    original = BUILD[cls][0]()
+    validations = []
+    validate = cls.__post_init__
+
+    def counted(self):
+        validations.append(self)
+        validate(self)
+
+    monkeypatch.setattr(cls, "__post_init__", counted)
+    clones = copy.copy(original), copy.deepcopy(original), pickle.loads(pickle.dumps(original))
+    assert validations == []
+    assert all(clone == original for clone in clones)

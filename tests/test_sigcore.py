@@ -347,15 +347,35 @@ class TestCorrelationMatrix:
         assert built.k == k and built.dim == length
 
     def test_validated_at_the_int64_bound(self, monkeypatch):
-        # K * L^2 = 64 for Hadamard 4, and sum |R_ij| = 16: at a limit of 64
-        # the constructor validates and accepts; at 16 it refuses, with its
-        # own message.
+        # sum |R_ij| = 16 for Hadamard 4: at a limit of 64 the exact sum
+        # passes; at 16 it is refused, with the constructor's message.
         h4 = hadamard_set(4)
         monkeypatch.setattr(sigforge.sigcore, "INT64_LIMIT", 64)
         assert correlation_matrix(h4).abs_sum == 16
         monkeypatch.setattr(sigforge.sigcore, "INT64_LIMIT", 16)
         with pytest.raises(ValueError, match=r"sum \|R_ij\| = 16 is not below 16"):
             correlation_matrix(h4)
+
+    def test_built_without_validation_at_the_int64_bound(self, monkeypatch):
+        validations = []
+        validate = CorrelationMatrix.__post_init__
+
+        def counted(self):
+            validations.append(self)
+            validate(self)
+
+        monkeypatch.setattr(CorrelationMatrix, "__post_init__", counted)
+        h4 = hadamard_set(4)
+        monkeypatch.setattr(sigforge.sigcore, "INT64_LIMIT", 64)
+        assert correlation_matrix(h4).abs_sum == 16
+        assert validations == []
+        monkeypatch.setattr(sigforge.sigcore, "INT64_LIMIT", 16)
+        message = r"^sum \|R_ij\| = 16 is not below 16, the bound for exact int64 metrics$"
+        with pytest.raises(ValueError, match=message):
+            correlation_matrix(h4)
+        assert validations == []
+        with pytest.raises(ValueError, match=message):
+            CorrelationMatrix(h4.rows.T @ h4.rows)
 
 
 class TestQuadraticMetric:
