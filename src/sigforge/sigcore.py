@@ -362,6 +362,8 @@ def load_set(path) -> SignatureSet:
     if len(parts) != 2:
         raise SetFormatError(f"line {header_lineno}: header must be 'K L', got {header!r}")
     try:
+        if "_" in header or not "".join(parts).isascii():  # int() takes "0_1" and "١"
+            raise ValueError
         k, length = int(parts[0]), int(parts[1])
     except ValueError:
         raise SetFormatError(

@@ -41,6 +41,9 @@ MALFORMED = {
     "0 2\n": "line 1: need K >= 1 and L >= 1, got K=0 L=2",
     "1 0\n+1\n": "line 1: need K >= 1 and L >= 1, got K=1 L=0",
     "-1 2\n": "line 1: need K >= 1 and L >= 1, got K=-1 L=2",
+    # int() accepts digit separators and non-ASCII digits; the header does not.
+    "0_1 4\n+1 -1 +1 -1\n": "line 1: header must hold two integers, got '0_1 4'",
+    "١ 4\n+1 -1 +1 -1\n": "line 1: header must hold two integers, got '١ 4'",
     # A bad token on line 3 and a ragged row on line 5: line 3 is named.
     "3 2\n+1 +1\n+1 x\n\n+1 -1 +1\n": "line 3: invalid entry 'x' (alphabet is '+1'/'-1')",
     # Only lines that begin with '#' are comments; a note after chips is not.
