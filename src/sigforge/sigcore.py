@@ -126,12 +126,6 @@ class Signature(Record):
         """Entries as a fresh int64 vector."""
         return np.array(self.chips, dtype=np.int64)
 
-    def flipped(self, index: int) -> Signature:
-        """Copy with one chip negated."""
-        chips = list(self.chips)
-        chips[index] = -chips[index]
-        return Signature(tuple(chips))
-
 
 class SignatureSet(Record):
     """An ordered collection of K signatures sharing one common length L.
@@ -345,29 +339,36 @@ def save_set(signature_set: SignatureSet, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _text(raw: bytes) -> str:
+    """File bytes as a message quotes them: UTF-8, with undecodable bytes escaped."""
+    return raw.decode(errors="backslashreplace")
+
+
 def load_set(path) -> SignatureSet:
     """Parse a signature-set file; inverse of save_set (bit-exact round trip).
 
-    Lines starting with ``#`` and blank lines are ignored. Raises
-    SetFormatError on a malformed header, wrong row count, ragged rows,
-    or entries outside the +1/-1 alphabet, naming the earliest faulty line.
+    The file is read as ASCII bytes: lines end at LF, CR or CRLF, chips are
+    separated by ASCII whitespace, and lines starting with ``#`` and blank
+    lines are ignored. Raises SetFormatError on a malformed header, wrong row
+    count, ragged rows, or entries outside the +1/-1 alphabet, naming the
+    earliest faulty line and quoting its text decoded.
     """
-    numbered = enumerate(Path(path).read_text().splitlines(), start=1)
-    content_lines = [(n, line) for n, raw in numbered if (line := raw.strip()) and line[0] != "#"]
+    numbered = enumerate(Path(path).read_bytes().splitlines(), start=1)
+    content_lines = [(n, line) for n, raw in numbered if (line := raw.strip()) and line[:1] != b"#"]
     if not content_lines:
         raise SetFormatError("empty file: missing 'K L' header")
 
     header_lineno, header = content_lines[0]
     parts = header.split()
     if len(parts) != 2:
-        raise SetFormatError(f"line {header_lineno}: header must be 'K L', got {header!r}")
+        raise SetFormatError(f"line {header_lineno}: header must be 'K L', got {_text(header)!r}")
     try:
-        if "_" in header or not "".join(parts).isascii():  # int() takes "0_1" and "١"
+        if b"_" in header:  # int() takes b"0_1"; it refuses non-ASCII digits in bytes
             raise ValueError
         k, length = int(parts[0]), int(parts[1])
     except ValueError:
         raise SetFormatError(
-            f"line {header_lineno}: header must hold two integers, got {header!r}"
+            f"line {header_lineno}: header must hold two integers, got {_text(header)!r}"
         ) from None
     if k < 1 or length < 1:
         raise SetFormatError(f"line {header_lineno}: need K >= 1 and L >= 1, got K={k} L={length}")
@@ -378,10 +379,12 @@ def load_set(path) -> SignatureSet:
     for (lineno, _), tokens in zip(content_lines[1:], rows):
         if len(tokens) != length:
             raise SetFormatError(f"line {lineno}: expected {length} entries, got {len(tokens)}")
-        if not {"+1", "-1"}.issuperset(tokens):
-            bad = next(t for t in tokens if t not in {"+1", "-1"})
-            raise SetFormatError(f"line {lineno}: invalid entry {bad!r} (alphabet is '+1'/'-1')")
-    # Every token is "+1" or "-1", so every other character is a sign.
-    signs = np.frombuffer("".join(map("".join, rows)).encode("ascii"), np.uint8)[::2]
+        if not {b"+1", b"-1"}.issuperset(tokens):
+            bad = next(t for t in tokens if t not in {b"+1", b"-1"})
+            raise SetFormatError(
+                f"line {lineno}: invalid entry {_text(bad)!r} (alphabet is '+1'/'-1')"
+            )
+    # Every token is b"+1" or b"-1", so every other byte is a sign.
+    signs = np.frombuffer(b"".join(map(b"".join, rows)), np.uint8)[::2]
     rows = np.where(signs == ord("+"), np.int64(1), np.int64(-1)).reshape(k, length)
     return SignatureSet._trusted(rows)

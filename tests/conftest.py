@@ -1,4 +1,5 @@
-"""Shared pytest wiring: the acceptance verdict summary and a wrong scan.
+"""Shared pytest wiring: the acceptance verdict summary, a wrong scan and the
+reference chain.
 
 The acceptance tests register one PASS/FAIL line per criterion; replaying
 them from pytest_terminal_summary keeps the lines out of per-test capture,
@@ -10,6 +11,7 @@ import contextlib
 import pytest
 
 import sigforge.harness
+from sigforge import hadamard_set, upscale_chain
 
 _VERDICTS = pytest.StashKey[list]()
 
@@ -47,6 +49,13 @@ def wrong_scan(monkeypatch):
         return type(result)(**dict(fields, best_metric=result.best_metric + 1))
 
     monkeypatch.setattr(sigforge.harness, "ml_exhaustive", off_by_one)
+
+
+@pytest.fixture(scope="session")
+def reference_chain():
+    """The Hadamard 16 -> 32 ``sd`` chain without audit, run once for every test
+    that reads it."""
+    return upscale_chain(hadamard_set(16), 32, "sd", audit=False)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

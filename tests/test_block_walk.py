@@ -25,7 +25,6 @@ from sigforge import (
     quantize_sign,
     radius_squared,
     sphere_search,
-    upscale_chain,
 )
 from sigforge.linalg import SingularMatrix
 from sigforge.sphere import BUDGET_ABS_EPS, RADIUS_EPS, WALK_BLOCK_ROWS, analyse_step
@@ -188,9 +187,8 @@ class TestSameCountsAsDepthFirst:
         result = assert_same_walk(matrix, 256.0, 16.0)
         assert (result.nodes_visited, result.best_metric) == (16, 256)
 
-    def test_floor_stops_on_the_reference_chain(self):
-        chain = upscale_chain(hadamard_set(16), 32, "sd", audit=False)
-        rows = list(chain.final_set)
+    def test_floor_stops_on_the_reference_chain(self, reference_chain):
+        rows = list(reference_chain.final_set)
         for k in range(16, 32):
             step = analyse_step(SignatureSet(tuple(rows[:k])))
             result = assert_same_walk(step.matrix, step.radius, step.lambda_min)

@@ -166,11 +166,6 @@ class TestIterativeWalk:
         assert result.nodes_visited == length  # the first leaf meets the floor
 
 
-@pytest.fixture(scope="module")
-def reference_chain():
-    return upscale_chain(hadamard_set(16), 32, "sd", audit=False)
-
-
 class TestReferenceChain:
     """Counts, not timings: the Hadamard 16 -> 32 chain through the pipeline."""
 

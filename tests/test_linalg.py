@@ -24,7 +24,6 @@ from sigforge import (
     quadratic_metric,
     quantize_sign,
     save_set,
-    upscale_chain,
 )
 from sigforge.cli import main
 from sigforge.sphere import _positive_definite, analyse_step
@@ -249,8 +248,8 @@ def assert_kernel_independent(signature_set):
 
 
 @pytest.fixture(scope="module")
-def reference_chain_sets():
-    final = upscale_chain(hadamard_set(16), 32, "sd", audit=False).final_set
+def reference_chain_sets(reference_chain):
+    final = reference_chain.final_set
     return [SignatureSet(final.signatures[:k]) for k in range(16, 32)]
 
 

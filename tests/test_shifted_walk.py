@@ -20,7 +20,6 @@ from sigforge import (
     quantize_sign,
     radius_squared,
     sphere_search,
-    upscale_chain,
 )
 from sigforge.sphere import analyse_step
 
@@ -203,11 +202,6 @@ class TestOneFactorOfLRPlus2I:
             sphere_search(matrix, 64.0, lambda_min=lambda_min)
         assert len(calls) == factored
         assert np.array_equal(calls[-1], 8 * matrix.entries + 2 * np.eye(8))
-
-
-@pytest.fixture(scope="module")
-def reference_chain():
-    return upscale_chain(hadamard_set(16), 32, "sd", audit=False)
 
 
 class TestReferenceChainCounts:

@@ -51,6 +51,11 @@ MALFORMED = {
     # Comments and blanks before a bad row still count in its line number.
     "# header next\n2 2\n\n# a row\n+1 +1\n+1 +2\n":
         "line 6: invalid entry '+2' (alphabet is '+1'/'-1')",
+    # Chips are separated by ASCII whitespace only, and lines end only at LF, CR or CRLF.
+    "1 2\n+1\u3000-1\n": "line 2: expected 2 entries, got 1",
+    "1 2\n+1\x1f-1\n": "line 2: expected 2 entries, got 1",
+    "1 2\n+1 \x1c-1\n": "line 2: invalid entry '\\x1c-1' (alphabet is '+1'/'-1')",
+    "1 2\n+1 \u2028-1\n": "line 2: invalid entry '\\u2028-1' (alphabet is '+1'/'-1')",
 }
 
 
@@ -69,9 +74,8 @@ class TestSignature:
         with pytest.raises(ValueError):
             Signature(())
 
-    def test_flip_and_negate(self):
+    def test_negate(self):
         s = Signature((1, -1, 1))
-        assert tuple(s.flipped(1)) == (1, 1, 1)
         assert tuple(-s) == (-1, 1, -1)
         assert tuple(s) == (1, -1, 1)
 
@@ -505,7 +509,7 @@ class TestSetFiles:
     @pytest.mark.parametrize("text", list(MALFORMED))
     def test_malformed_files_never_load(self, tmp_path, text):
         path = tmp_path / "bad.txt"
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8")
         with pytest.raises(SetFormatError) as excinfo:
             load_set(path)
         assert str(excinfo.value) == MALFORMED[text]

@@ -234,6 +234,105 @@ class TestLocalDescent:
         assert first.nodes_visited == second.nodes_visited
 
 
+    def test_wrong_length_start_is_refused(self):
+        m = correlation_matrix(hadamard_set(4))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            local_descent_baseline(m, Signature((1, -1, 1)))
+
+
+def per_flip_descent(matrix, start):
+    """Reference descent: score each single flip in index order by
+    ``quadratic_metric`` and take the first that improves, until none does.
+    Returns (best, best_metric, nodes_visited, candidates_enumerated)."""
+    current = start
+    metric = quadratic_metric(matrix, current)
+    evals = 1
+    points = 1
+    improved = True
+    while improved:
+        improved = False
+        for index in range(len(current)):
+            chips = list(current.chips)
+            chips[index] = -chips[index]
+            trial = Signature(tuple(chips))
+            trial_metric = quadratic_metric(matrix, trial)
+            evals += 1
+            if trial_metric < metric:
+                current = trial
+                metric = trial_metric
+                points += 1
+                improved = True
+                break
+    return current, metric, evals, points
+
+
+def chips_of(length):
+    return st.lists(st.sampled_from([-1, 1]), min_size=length, max_size=length)
+
+
+@st.composite
+def descent_cases(draw, shape):
+    """R of a random set ("random", 1 to 3L rows), of a few repeated rows
+    ("repeated") or of K < L rows ("underloaded"), and a random start."""
+    length = draw(st.integers(2, 14))
+    if shape == "repeated":
+        distinct = draw(st.lists(chips_of(length), min_size=1, max_size=3))
+        rows = [row for row in distinct for _ in range(draw(st.integers(1, 4)))]
+    else:
+        most = 3 * length if shape == "random" else length - 1
+        rows = draw(st.lists(chips_of(length), min_size=1, max_size=most))
+    start = Signature(tuple(draw(chips_of(length))))
+    return correlation_matrix(SignatureSet.from_rows(rows)), start
+
+
+@st.composite
+def scaled_cases(draw):
+    """c * S^T S for a length-4 set S, with c up to the largest value that keeps
+    sum |R_ij| <= 2^62 (2^58 on Hadamard 4), and a random start."""
+    hadamard = hadamard_set(4).rows.tolist()
+    rows = draw(st.just(hadamard) | st.lists(chips_of(4), min_size=1, max_size=8))
+    base = correlation_matrix(SignatureSet.from_rows(rows)).entries
+    cap = (1 << 62) // int(np.abs(base).sum())
+    scale = draw(st.just(cap) | st.integers(1, cap))
+    return CorrelationMatrix(scale * base), Signature(tuple(draw(chips_of(4))))
+
+
+DESCENT_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+class TestDescentMatchesPerFlipScan:
+    """One R s product per move gives the per-flip scan's best point, metric
+    and both counts."""
+
+    @staticmethod
+    def assert_matches(case):
+        matrix, start = case
+        result = local_descent_baseline(matrix, start)
+        got = (result.best, result.best_metric, result.nodes_visited,
+               result.candidates_enumerated)
+        assert got == per_flip_descent(matrix, start)
+
+    @DESCENT_SETTINGS
+    @given(descent_cases("random"))
+    def test_random_sets(self, case):
+        self.assert_matches(case)
+
+    @DESCENT_SETTINGS
+    @given(descent_cases("repeated"))
+    def test_repeated_rows(self, case):
+        self.assert_matches(case)
+
+    @DESCENT_SETTINGS
+    @given(descent_cases("underloaded"))
+    def test_underloaded_sets(self, case):
+        self.assert_matches(case)
+
+    @DESCENT_SETTINGS
+    @given(scaled_cases())
+    def test_entries_scaled_to_2_62(self, case):
+        self.assert_matches(case)
+
+
 class TestExtendOptimal:
     """The optimal extension of a set: one step analysis, then the
     first-optimum walk."""
