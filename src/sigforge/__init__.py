@@ -8,12 +8,27 @@ an exhaustive scan is available as the optimality oracle, and a bit-flip
 descent stand-in serves as the suboptimal comparator.
 """
 
-from . import bounds, harness, linalg, sigcore, sphere
-from .bounds import *
-from .harness import *
-from .linalg import *
-from .sigcore import *
-from .sphere import *
+import os
+
+# numpy's bundled OpenBLAS starts a spinning worker thread per extra core, and
+# no product sigforge runs gains from one. Unless the caller chose a count, it
+# loads with one thread; it reads the variable only while loading, so the
+# environment is restored and subprocesses see no change.
+_THREADS = "OPENBLAS_NUM_THREADS"
+_threads_unset = _THREADS not in os.environ
+if _threads_unset:
+    os.environ[_THREADS] = "1"
+try:
+    from . import bounds, harness, linalg, sigcore, sphere
+    from .bounds import *
+    from .harness import *
+    from .linalg import *
+    from .sigcore import *
+    from .sphere import *
+finally:
+    if _threads_unset:
+        del os.environ[_THREADS]
+    del os, _THREADS, _threads_unset
 
 __version__ = "0.1.0"
 

@@ -71,6 +71,8 @@ def resolve_ml_cap() -> int:
     if raw is None:
         return DEFAULT_ML_CAP
     try:
+        if "_" in raw or not raw.isascii():  # int() takes "2_4" and non-ASCII digits
+            raise ValueError
         cap = int(raw)
     except ValueError:
         raise ValueError(f"{ML_CAP_ENV} must be an integer, got {raw!r}") from None

@@ -381,14 +381,15 @@ def ml_exhaustive(matrix: CorrelationMatrix, cap: int = DEFAULT_ML_CAP) -> Searc
 
     Meet in the middle (Horowitz & Sahni 1974): s = (a, b) with head
     a = s_1..s_h, h = floor(L/2), so s^T R s = a^T A a + b^T B b + a^T (2 C b).
-    The head and tail forms and the cross products 2 C b are int64 tables, and
-    each block of head rows costs one float64 matrix product. Every partial
-    sum is an integer of magnitude at most sum |R_ij|, so the floats are exact
-    while that sum is below 2^53; beyond it, as for L above ``cap``, the scan
-    raises CapExceeded. The flat index head * 2^(t-1) + tail is lexicographic,
-    so the first minimum is the sphere search's tie-break winner. It is
-    re-scored in integers; disagreeing with the float minimum is an
-    InternalConsistencyError.
+    The head and tail forms and the cross products 2 C b are int64 tables,
+    folded into [a | a^T A a | 1] and [2 C b; 1; b^T B b], so each block of
+    head rows costs one float64 matrix product and nothing is added after it.
+    Every partial sum, in any order, is an integer of magnitude at most
+    sum |R_ij|, so the floats are exact while that sum is below 2^53; beyond
+    it, as for L above ``cap``, the scan raises CapExceeded. The flat index
+    head * 2^(t-1) + tail is lexicographic, so the first minimum is the sphere
+    search's tie-break winner. It is re-scored in integers; disagreeing with
+    the float minimum is an InternalConsistencyError.
     """
     dim = matrix.dim
     if dim > cap:
@@ -402,16 +403,15 @@ def ml_exhaustive(matrix: CorrelationMatrix, cap: int = DEFAULT_ML_CAP) -> Searc
     h = dim // 2
     heads = _lex_signs(h)
     tails = _lex_signs(dim - h)[::2]  # the rows with s_L = +1
-    head_q = ((heads @ r[:h, :h]) * heads).sum(axis=1).astype(np.float64)
-    tail_q = ((tails @ r[h:, h:]) * tails).sum(axis=1).astype(np.float64)
-    cross = (2 * r[:h, h:] @ tails.T).astype(np.float64)
+    head_q = ((heads @ r[:h, :h]) * heads).sum(axis=1)
+    tail_q = ((tails @ r[h:, h:]) * tails).sum(axis=1)
+    left = np.column_stack([heads, head_q, np.ones_like(head_q)]).astype(np.float64)
+    right = np.vstack([2 * r[:h, h:] @ tails.T, np.ones_like(tail_q), tail_q]).astype(np.float64)
     n_tail = tails.shape[0]
     rows = max(1, _BLOCK // n_tail)
     best_metric, best_index, ties = math.inf, -1, 0
-    for start in range(0, heads.shape[0], rows):
-        block = heads[start : start + rows] @ cross
-        block += head_q[start : start + rows, np.newaxis]
-        block += tail_q
+    for start in range(0, left.shape[0], rows):
+        block = left[start : start + rows] @ right
         pos = int(block.argmin())
         block_min = float(block.flat[pos])
         if block_min < best_metric:

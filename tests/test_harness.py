@@ -40,9 +40,12 @@ class TestMlCap:
         monkeypatch.setenv(ML_CAP_ENV, "10")
         assert resolve_ml_cap() == 10
 
-    def test_garbage_env_rejected(self, monkeypatch):
-        monkeypatch.setenv(ML_CAP_ENV, "many")
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize(
+        "raw", ["many", "2_4", "\u0662\u0664"], ids=["word", "underscore", "arabic_indic"]
+    )
+    def test_garbage_env_rejected(self, monkeypatch, raw):
+        monkeypatch.setenv(ML_CAP_ENV, raw)
+        with pytest.raises(ValueError, match="must be an integer"):
             resolve_ml_cap()
 
     def test_nonpositive_rejected(self, monkeypatch):

@@ -479,6 +479,19 @@ class TestMeetInTheMiddleScan:
         assert result.best_metric == 16 * diag
         assert result.ties == 1 << 15
 
+    @pytest.mark.parametrize("length", range(5, 13))
+    def test_exact_just_below_float_limit_with_cross_terms(self, length):
+        # R = c * S^T S with sum |R_ij| just below 2^53: the cross products
+        # and both forms are large, so an inexact partial sum would show.
+        m = random_correlation(np.random.default_rng(300 + length), length)
+        scale = (EXACT_SCAN_LIMIT - 1) // m.abs_sum
+        scaled = CorrelationMatrix(m.entries * scale)
+        assert EXACT_SCAN_LIMIT - m.abs_sum <= scaled.abs_sum < EXACT_SCAN_LIMIT
+        result = ml_exhaustive(scaled)
+        assert (result.best, result.best_metric, result.ties) == brute_force_scan(
+            scaled, length
+        )
+
     def test_refuses_beyond_float_limit(self):
         m = CorrelationMatrix(np.eye(16, dtype=np.int64) * (1 << 49))
         with pytest.raises(CapExceeded, match=r"L=16.*9007199254740992"):
