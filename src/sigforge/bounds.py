@@ -137,8 +137,11 @@ def _parse_case(record: dict, where: str) -> tuple[tuple[int, int], _Case]:
 
 def load_bound_table(path) -> BoundTable:
     """Load a case table from a JSON file; see the README for the format."""
-    with open(path, "r", encoding="utf-8") as handle:
-        doc = json.load(handle)
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            doc = json.load(handle)
+    except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, or nested too deep
+        raise ValueError(f"{path}: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("schema") != BOUND_TABLE_SCHEMA:
         raise ValueError(f"{path}: expected a JSON object with schema {BOUND_TABLE_SCHEMA!r}")
     raw_cases = doc.get("cases")

@@ -18,6 +18,7 @@ from .harness import (
     METHODS,
     InternalConsistencyError,
     _METHOD_LABELS,
+    _error_text,
     emit_report,
     extend_once,
     one_shot_experiment,
@@ -185,10 +186,10 @@ def main(argv=None) -> int:
     try:
         return _HANDLERS[args.command](args)
     except INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_error_text(exc)}", file=sys.stderr)
         return 2
     except (InternalConsistencyError, EmptySphere, SingularMatrix, EigenFailure) as exc:
-        print(f"internal consistency failure: {exc}", file=sys.stderr)
+        print(f"internal consistency failure: {_error_text(exc)}", file=sys.stderr)
         return 3
 
 

@@ -64,6 +64,10 @@ REPORT_SCHEMA = "sigforge.report/1"
 INPUT_ERRORS = (ValueError, OSError, MemoryError, CapExceeded)
 
 
+def _error_text(exc: BaseException) -> str:
+    return str(exc) or type(exc).__name__  # a failed allocation has no message
+
+
 def resolve_ml_cap() -> int:
     """Exhaustive-scan cap: the SIGFORGE_ML_CAP environment variable, else
     the built-in default."""
@@ -333,7 +337,7 @@ def one_shot_experiment(set_paths) -> CompareReport:
             loaded = load_set(path)
             row = compare_methods(loaded)
         except INPUT_ERRORS as exc:
-            entries.append(CompareEntry(path=path, error=str(exc)))
+            entries.append(CompareEntry(path=path, error=_error_text(exc)))
             continue
         bound = _bound_after(row.k_after, row.length)
         entries.append(

@@ -4,9 +4,10 @@ The minimum of s^T R s is found by factoring a form A = U^T U that ranks
 sign vectors as R does, bounding each coordinate through the
 weighted-square form of ||U s||^2, and walking the resulting tree depth
 first in numpy blocks. The radius comes from the sign-quantized minimum
-eigenvector, which guarantees the true minimizer lies inside the sphere;
-every leaf is re-scored in exact integer arithmetic, so floating point can
-only ever admit extra leaves, never corrupt the argmin.
+eigenvector, which guarantees the true minimizer lies inside the sphere.
+Under the assumptions ``_rounding_slack`` states, its float64 slack keeps
+every sign vector within the radius in the walk, and every leaf is
+re-scored in exact integer arithmetic, so the argmin is never lost.
 
 Two walks share one block traversal of A's factor with its indices
 reversed, which visits leaves in tie-break order and counts nodes as a
@@ -56,15 +57,6 @@ __all__ = [
     "analyse_step",
 ]
 
-# Multiplicative slack on the float budget; a boundary candidate (metric
-# exactly equal to the radius) must never be lost to rounding.
-RADIUS_EPS = 1e-9
-# Budget updates subtract terms of magnitude ~||R||, so leftover budgets
-# carry absolute rounding noise at ulp(||R||) scale regardless of how small
-# the radius is. The additive slack BUDGET_ABS_EPS * ||R||_max * L covers
-# that noise; metrics are integers, so any slack well below 1 can only admit
-# boundary candidates, never wrong ones (exact re-scoring settles the rest).
-BUDGET_ABS_EPS = 1e-12
 DEFAULT_ML_CAP = 24
 # Float64 entries per block of the exhaustive scan (2 MB).
 _BLOCK = 1 << 18
@@ -175,14 +167,21 @@ def certified_floor(matrix: CorrelationMatrix, lambda_min: float) -> int | None:
     return None
 
 
-def _nearest_plane(weights: np.ndarray) -> list[int]:
-    """Babai's nearest-plane leaf of a form, as (x_L, ..., x_1): one O(L^2)
-    path taking at each level the sign closest to -delta, +1 on a tie.
-    ``weights`` is laid out as ``sphere_search`` lays it out."""
-    path: list[int] = []
-    for row in weights[::-1]:
-        path.append(1 if sum(map(mul, row[: len(path)].tolist(), path)) <= 0.0 else -1)
-    return path
+def _rounding_slack(dim: int, k: int, shift: int, jitter: float) -> float:
+    """Float64 slack of the walk's budgets, 4 * gamma(L+4) * L^2 * (a + jitter),
+    with gamma(n) = n*u / (1 - n*u), u = 2^-53, a = L*K - shift the diagonal
+    of the walked form A = L*R - shift*I and jitter the shift ``cholesky`` added.
+
+    Bound: every s with s^T R s <= m, and each node above it, stays under the
+    cap L * (m - shift) + jitter*L + slack. The first-order error terms,
+    (4L + 9)u * L^2 * (a + jitter) in all, are the factor's backward error
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., SIAM
+    2002, Thm 10.3), the walk's offsets, squares and sum, and the cap; the
+    README derives them. Assumes IEEE binary64 rounding to nearest, no
+    overflow, A's integers below 2^53 and a ``potrf`` on ordinary products.
+    """
+    n = (dim + 4) * 2.0**-53
+    return 4.0 * n / (1.0 - n) * dim * dim * (dim * k - shift + jitter)
 
 
 def sphere_search(
@@ -218,8 +217,8 @@ def sphere_search(
     lowers the cap or stops the walk, every open block re-counts its rows
     after the leaf's ancestor against the new cap.
 
-    Without ``lambda_min`` the radius stays fixed for the whole walk and
-    every candidate in the ball is enumerated into ``candidates``.
+    Without ``lambda_min`` the radius stays at its floor (metrics are
+    integers), and every candidate in the ball goes into ``candidates``.
 
     With ``lambda_min`` (the first-optimum walk) the radius starts at the
     smaller of ``radius`` and the exact metric of A's nearest-plane leaf,
@@ -241,21 +240,19 @@ def sphere_search(
     dim = matrix.dim
     bound = math.nan if lambda_min is None else lambda_min * dim
     proposal = math.ceil(bound) if math.isfinite(bound) else None
-    shift = -2 if proposal is None else proposal - 2
     # A in float64. Its constant diagonal L*K - (b-2), where the cancellation
     # happens, is set from the exact Python integer.
     entries = matrix.entries[::-1, ::-1] * float(dim)
-    np.fill_diagonal(entries, dim * matrix.k - shift)
-    try:
-        u = cholesky(entries)
-    except SingularMatrix:
-        if shift == -2:
-            raise
-        u = None
-    if shift != -2 and (u is None or u.jitter):
-        shift = -2
+    for shift in ([] if proposal is None else [proposal - 2]) + [-2]:
         np.fill_diagonal(entries, dim * matrix.k - shift)
-        u = cholesky(entries)
+        try:
+            u = cholesky(entries)
+        except SingularMatrix:
+            if shift == -2:
+                raise
+            continue
+        if shift == -2 or not u.jitter:
+            break
     # Weighted-square form of the factor: ||U x||^2 is the sum over i of
     # q_ii * (x_i + sum_{j>i} q_ij x_j)^2, with q_ii = u_ii^2, q_ij = u_ij / u_ii.
     # weights[i, :L-1-i] holds q_ij for j = L-1 down to i+1, aligned with a
@@ -263,25 +260,22 @@ def sphere_search(
     d = np.diag(u.entries)
     q_diag = (d * d).tolist()
     weights = u.entries[:, ::-1] / d[:, np.newaxis]
-    # Jitter (only on L*R + 2I, which is >= 2I) shifts every float form
-    # value up by jitter * L; widen the budget by the same amount so
-    # exact-metric membership is preserved.
-    jitter = u.jitter * dim
-    abs_slack = BUDGET_ABS_EPS * float(np.abs(entries).max()) * dim
+    # Jitter (only on L*R + 2I >= 2I) raises every form value, so the cap, by jitter * L.
+    jitter, slack = u.jitter * dim, _rounding_slack(dim, matrix.k, shift, u.jitter)
     del entries, u, d  # the walk holds only the weights (d views the factor)
 
     def cap_for(metric) -> float:
-        # The first-optimum walk passes integer metrics, so L * (m - (b-2))
-        # is exact before it meets a float: A's value can be far smaller
-        # than L * m.
-        return (dim * (metric - shift) + jitter) * (1.0 + RADIUS_EPS) + abs_slack
+        # Metrics are integers, so L * (m - (b-2)) is exact: A's value can be far below L * m.
+        return dim * float(metric - shift) + jitter + slack
 
     candidates: list[tuple[Signature, int]] | None = [] if lambda_min is None else None
-    start = float(radius)
+    start = radius if math.isinf(radius) else math.floor(radius)
     if candidates is None:
-        start = quadratic_metric(matrix, Signature(tuple(_nearest_plane(weights))))
-        if radius < start:
-            start = math.floor(radius)
+        # Babai's nearest-plane leaf: at each level the sign closest to -delta, +1 on a tie.
+        dive: list[int] = []
+        for row in weights[::-1]:
+            dive.append(1 if sum(map(mul, row[: len(dive)].tolist(), dive)) <= 0.0 else -1)
+        start = min(start, quadratic_metric(matrix, Signature(tuple(dive))))
     best: Signature | None = None
     best_metric: int | None = None
     certify = functools.cache(functools.partial(certified_floor, matrix, lambda_min))
@@ -354,9 +348,7 @@ def sphere_search(
                 events.append((row, cap))
                 row = up_rows[row]
     if best is None:
-        raise EmptySphere(
-            f"no antipodal point within squared radius {radius!r} (L={dim})"
-        )
+        raise EmptySphere(f"no antipodal point within squared radius {radius!r} (L={dim})")
     return SearchResult(
         best=best,
         best_metric=best_metric,

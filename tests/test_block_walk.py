@@ -4,6 +4,7 @@ L = 28 and the memory bounds at L = 1,100."""
 
 import math
 import tracemalloc
+from fractions import Fraction
 from operator import mul
 
 import numpy as np
@@ -27,7 +28,25 @@ from sigforge import (
     sphere_search,
 )
 from sigforge.linalg import SingularMatrix
-from sigforge.sphere import BUDGET_ABS_EPS, RADIUS_EPS, WALK_BLOCK_ROWS, analyse_step
+from sigforge.sphere import WALK_BLOCK_ROWS, _rounding_slack, analyse_step
+
+
+def walked_form(matrix, lambda_min=None):
+    """The factor of the form ``sphere_search`` walks, with its shift b - 2:
+    the proposal's, or L*R + 2I's when the proposal's needs jitter."""
+    dim = matrix.dim
+    bound = math.nan if lambda_min is None else lambda_min * dim
+    proposal = math.ceil(bound) if math.isfinite(bound) else None
+    for shift in ([] if proposal is None else [proposal - 2]) + [-2]:
+        entries = matrix.entries[::-1, ::-1] * float(dim)
+        np.fill_diagonal(entries, dim * matrix.k - shift)
+        try:
+            u = cholesky(entries)
+        except SingularMatrix:
+            continue
+        if u.jitter == 0.0 or shift == -2:
+            return u, shift
+    raise SingularMatrix("L*R + 2I did not factor")
 
 
 def depth_first_search(matrix, radius, lambda_min=None):
@@ -40,36 +59,24 @@ def depth_first_search(matrix, radius, lambda_min=None):
     ``compared`` reads from a SearchResult.
     """
     dim = matrix.dim
-    bound = math.nan if lambda_min is None else lambda_min * dim
-    proposal = math.ceil(bound) if math.isfinite(bound) else None
-    for shift in ([] if proposal is None else [proposal - 2]) + [-2]:
-        entries = matrix.entries[::-1, ::-1] * float(dim)
-        np.fill_diagonal(entries, dim * matrix.k - shift)
-        try:
-            u = cholesky(entries)
-        except SingularMatrix:
-            continue
-        if u.jitter == 0.0 or shift == -2:
-            break
+    u, shift = walked_form(matrix, lambda_min)
     d = np.diag(u.entries)
     q_diag = (d * d).tolist()
     q_upper = u.entries / d[:, np.newaxis]
     rows = [q_upper[i, i + 1 :][::-1].tolist() for i in range(dim)]
-    slack = BUDGET_ABS_EPS * float(np.abs(entries).max()) * dim
+    slack = _rounding_slack(dim, matrix.k, shift, u.jitter)
 
     def cap_for(metric):
-        return (dim * (metric - shift) + u.jitter * dim) * (1.0 + RADIUS_EPS) + slack
+        return dim * float(metric - shift) + u.jitter * dim + slack
 
     floor = None if lambda_min is None else certified_floor(matrix, lambda_min)
     candidates = [] if lambda_min is None else None
-    start = float(radius)
+    start = radius if math.isinf(radius) else math.floor(radius)
     if candidates is None:
         dive = []
         for row in reversed(rows):
             dive.append(1 if sum(map(mul, row, dive)) <= 0.0 else -1)
-        start = quadratic_metric(matrix, Signature(tuple(dive)))
-        if radius < start:
-            start = math.floor(radius)
+        start = min(start, quadratic_metric(matrix, Signature(tuple(dive))))
     cap = cap_for(start)
     best = best_metric = None
     nodes = leaves = 0
@@ -140,10 +147,10 @@ def rows_of(length, count):
 
 
 @st.composite
-def signature_sets(draw):
+def signature_sets(draw, max_length=14):
     """Random sets with K from 1 to 3L (K < L makes R singular), or a few
     distinct rows repeated (low rank, many ties)."""
-    length = draw(st.integers(2, 14))
+    length = draw(st.integers(2, max_length))
     if draw(st.booleans()):
         return SignatureSet.from_rows(draw(rows_of(length, draw(st.integers(1, 3 * length)))))
     distinct = draw(rows_of(length, draw(st.integers(1, 3))))
@@ -230,6 +237,70 @@ class TestOnDemandCertificate:
         calls = self._counted(monkeypatch)
         sphere_search(correlation_matrix(hadamard_set(16)), 256.0, lambda_min=16.0)
         assert calls == [16.0]
+
+
+def walk_budgets(u, signs):
+    """The float budget the walk sums for each row of ``signs`` from factor
+    ``u``: its weights, its matrix-vector offsets and its running sum, level
+    by level from the root."""
+    dim = signs.shape[1]
+    d = np.diag(u.entries)
+    q_diag = (d * d).tolist()
+    weights = u.entries[:, ::-1] / d[:, np.newaxis]
+    spent = np.zeros(len(signs))
+    for level in range(dim, 0, -1):
+        width = dim - level
+        offset = signs[:, :width] @ weights[level - 1, :width] + signs[:, width]
+        spent = spent + q_diag[level - 1] * offset * offset
+    return spent
+
+
+def assert_budgets_within_slack(matrix, lambda_min=None, count=200, seed=0):
+    """Random sign vectors' walk budgets lie within the slack of the exact
+    L * s^T R s - (b-2) * L + jitter * L."""
+    dim = matrix.dim
+    u, shift = walked_form(matrix, lambda_min)
+    signs = np.random.default_rng(seed).choice([-1, 1], size=(count, dim))
+    metrics = ((signs @ matrix.entries) * signs).sum(axis=1).tolist()
+    slack = _rounding_slack(dim, matrix.k, shift, u.jitter)
+    for budget, metric in zip(walk_budgets(u, signs.astype(np.float64)).tolist(), metrics):
+        exact = dim * (metric - shift) + Fraction(u.jitter) * dim
+        assert abs(Fraction(budget) - exact) <= slack
+
+
+class TestRoundingSlack:
+    """The walk's float budgets stay within ``_rounding_slack`` of the
+    exact form, so no sign vector inside the radius is pruned."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(signature_sets(max_length=24))
+    def test_property_sets(self, signature_set):
+        matrix = correlation_matrix(signature_set)
+        assert_budgets_within_slack(matrix, min_eigenpair(matrix).value)
+        assert_budgets_within_slack(matrix)
+
+    @pytest.mark.parametrize("length", [48, 96, 200, 400])
+    @pytest.mark.parametrize("shape", ["random", "repeated", "underloaded"])
+    def test_large_sets(self, length, shape):
+        rng = np.random.default_rng(length)
+        if shape == "random":
+            rows = rng.choice([-1, 1], size=(3 * length // 2, length))
+        elif shape == "repeated":
+            rows = np.repeat(rng.choice([-1, 1], size=(3, length)), [5, 3, 1], axis=0)
+        else:
+            rows = rng.choice([-1, 1], size=(length // 2, length))
+        matrix = correlation_matrix(SignatureSet.from_rows(rows.tolist()))
+        assert_budgets_within_slack(matrix, min_eigenpair(matrix).value)
+
+    def test_jittered_form(self):
+        # 2R + 2I for R = [[K, K], [K, K]] at K = 4 * 10^9 needs jitter.
+        matrix = CorrelationMatrix(np.full((2, 2), 4_000_000_000, dtype=np.int64))
+        assert walked_form(matrix)[0].jitter > 0.0
+        assert_budgets_within_slack(matrix, count=8)
+
+    def test_below_one_metric_unit_at_l_1100(self):
+        # One metric unit is L in A's scale; b = 0 gives the largest diagonal.
+        assert _rounding_slack(1100, 2200, -2, 0.0) < 1100
 
 
 # sd answers on seeded K = 42, L = 28 sets (rows from

@@ -78,6 +78,20 @@ class TestBoundCommand:
         table = tmp_path / "table.json"
         table.write_text("{not json")
         assert main(["bound", "--k", "5", "--l", "4", "--table", str(table)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {table}: ") and err.endswith("line 1 column 2 (char 1)\n")
+
+    def test_table_nested_too_deep(self, tmp_path, capsys):
+        table = tmp_path / "table.json"
+        table.write_text("[" * 100_000 + "]" * 100_000)
+        assert main(["bound", "--k", "5", "--l", "4", "--table", str(table)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {table}: maximum recursion depth")
+
+    def test_table_not_utf8(self, tmp_path, capsys):
+        table = tmp_path / "table.json"
+        table.write_bytes(b'{"schema": "\xff"}')
+        assert main(["bound", "--k", "5", "--l", "4", "--table", str(table)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {table}: 'utf-8' codec can't decode byte 0xff")
 
     def test_non_boolean_achievable(self, tmp_path, capsys):
         table = tmp_path / "table.json"
@@ -241,16 +255,25 @@ class TestRefusedAllocation:
     """Memory the input needs but cannot get is bad input: exit 2, no
     traceback, and in a compare batch an error row for that file only."""
 
-    @pytest.fixture
-    def refuse_l16(self, monkeypatch):
+    @staticmethod
+    def _refuse_l16(monkeypatch, error):
         build = sigforge.sphere.correlation_matrix
 
         def refused(signature_set):
             if signature_set.length == 16:
-                raise MemoryError("Unable to allocate R")
+                raise error
             return build(signature_set)
 
         monkeypatch.setattr(sigforge.sphere, "correlation_matrix", refused)
+
+    @pytest.fixture
+    def refuse_l16(self, monkeypatch):
+        self._refuse_l16(monkeypatch, MemoryError("Unable to allocate R"))
+
+    @pytest.fixture
+    def refuse_l16_bare(self, monkeypatch):
+        # CPython's own allocation failures carry no message.
+        self._refuse_l16(monkeypatch, MemoryError())
 
     def test_extend_exits_2(self, h16_file, capsys, refuse_l16):
         assert main(["extend", h16_file]) == 2
@@ -269,6 +292,13 @@ class TestRefusedAllocation:
         assert golden.startswith("tests/data/compare_h4.txt,5,4,")
         assert computed.split(",", 1)[1] == golden.split(",", 1)[1]
         assert "Traceback" not in captured.err
+
+    def test_bare_error_is_named(self, h16_file, capsys, refuse_l16_bare):
+        assert main(["extend", h16_file]) == 2
+        assert capsys.readouterr().err == "error: MemoryError\n"
+        assert main(["compare", h16_file]) == 2
+        refused = capsys.readouterr().out.strip().split("\n")[1]
+        assert refused == h16_file + "," * 14 + "MemoryError"
 
 
 class TestCompareCommand:

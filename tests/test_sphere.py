@@ -92,6 +92,21 @@ class TestSphereSearch:
         with pytest.raises(EmptySphere):
             sphere_search(m, 1.0, lambda_min=2.0)
 
+    @pytest.mark.parametrize("radius", [math.nextafter(16.0, 0.0), 16.0 - 1e-9])
+    def test_radius_just_below_every_metric(self, radius):
+        m = correlation_matrix(hadamard_set(4))  # R = 4I: all metrics are 16
+        with pytest.raises(EmptySphere):
+            sphere_search(m, radius)
+
+    def test_fractional_radius_covers_its_floor(self):
+        result = sphere_search(correlation_matrix(hadamard_set(4)), 16.5)
+        assert (result.best_metric, result.candidates_enumerated, result.radius_c) == (16, 8, 16.5)
+
+    @pytest.mark.parametrize("radius", [1.7e308, math.inf])
+    def test_radius_beyond_every_metric(self, radius):
+        result = sphere_search(correlation_matrix(hadamard_set(4)), radius)
+        assert (result.candidates_enumerated, result.radius_c) == (8, radius)
+
     def test_rejects_negative_radius(self):
         m = correlation_matrix(hadamard_set(2))
         with pytest.raises(ValueError):
