@@ -14,7 +14,7 @@ import json
 import math
 import numbers
 
-from .sigcore import Record
+from .sigcore import Record, _integer
 
 __all__ = [
     "BoundValue",
@@ -156,16 +156,16 @@ def load_bound_table(path) -> BoundTable:
     return BoundTable(cases=cases)
 
 
-def _check_dims(k: int, length: int) -> None:
-    if not isinstance(k, int) or not isinstance(length, int):
-        raise TypeError("K and L must be integers")
+def _check_dims(k: int, length: int) -> tuple[int, int]:
+    k, length = _integer(k), _integer(length)
     if k < 1 or length < 1:
         raise ValueError("K and L must be at least 1")
+    return k, length
 
 
 def welch_bound(k: int, length: int) -> BoundValue:
     """K * L * max(K, L): the TSC floor for any K x L signature set."""
-    _check_dims(k, length)
+    k, length = _check_dims(k, length)
     return BoundValue(value=k * length * max(k, length), kind="welch")
 
 
@@ -177,7 +177,7 @@ def binary_tsc_bound(k: int, length: int, table: BoundTable | None = None) -> Bo
     binary_fallback_welch. The result is never below the Welch bound; a
     table that dips below it is rejected as misconfigured.
     """
-    _check_dims(k, length)
+    k, length = _check_dims(k, length)
     if k < length:
         raise Underloaded(f"binary bound needs K >= L, got K={k} < L={length}")
     welch = k * length * max(k, length)
@@ -201,7 +201,7 @@ def fp_operation_bound(dim: int, radius: float, scale: float) -> float:
     throughout (the closed form is an integer multiple of one half);
     raises BoundOverflow if the value exceeds the float range.
     """
-    if not isinstance(dim, int) or dim < 1:
+    if (dim := _integer(dim)) < 1:
         raise ValueError("dimension must be a positive integer")
     if not (radius >= 0.0) or not (scale > 0.0):
         raise ValueError("radius must be >= 0 and scale > 0")

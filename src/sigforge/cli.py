@@ -25,7 +25,7 @@ from .harness import (
     upscale_chain,
 )
 from .linalg import EigenFailure, SingularMatrix
-from .sigcore import hadamard_set, load_set, save_set, tsc
+from .sigcore import _parse_integer, hadamard_set, load_set, save_set, tsc
 from .sphere import EmptySphere
 
 
@@ -41,8 +41,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("set_file")
 
     p = sub.add_parser("bound", help="TSC lower bounds for given K and L")
-    p.add_argument("--k", type=int, required=True, help="number of signatures")
-    p.add_argument("--l", dest="length", type=int, required=True, help="signature length")
+    p.add_argument("--k", type=_parse_integer, required=True, help="number of signatures")
+    p.add_argument("--l", dest="length", type=_parse_integer, required=True,
+                   help="signature length")
     p.add_argument("--table", help="JSON case table for the binary bound")
 
     p = sub.add_parser("extend", help="add one signature to a set")
@@ -54,9 +55,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("chain", help="extend one-by-one up to a target K")
     p.add_argument("set_file", nargs="?", help="initial set file")
-    p.add_argument("--hadamard", type=int, metavar="L",
+    p.add_argument("--hadamard", type=_parse_integer, metavar="L",
                    help="start from the L x L Hadamard set instead of a file")
-    p.add_argument("--to", dest="target", type=int, required=True, metavar="K")
+    p.add_argument("--to", dest="target", type=_parse_integer, required=True, metavar="K")
     p.add_argument("--method", choices=METHODS, default="sd")
     p.add_argument("--audit", action="store_true", default=None)
     p.add_argument("--save-set", metavar="PATH", help="write the final set here")
@@ -66,9 +67,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="run a chain and write a report file")
     p.add_argument("set_file", nargs="?", help="initial set file")
-    p.add_argument("--hadamard", type=int, metavar="L",
+    p.add_argument("--hadamard", type=_parse_integer, metavar="L",
                    help="Hadamard start (default 16 when no file is given)")
-    p.add_argument("--to", dest="target", type=int, default=32, metavar="K")
+    p.add_argument("--to", dest="target", type=_parse_integer, default=32, metavar="K")
     p.add_argument("--method", choices=METHODS, default="sd")
     p.add_argument("--audit", action="store_true", default=None)
     p.add_argument("--format", dest="fmt", choices=("json", "csv"), required=True)

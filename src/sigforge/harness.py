@@ -21,7 +21,8 @@ import json
 import os
 
 from .bounds import BoundValue, binary_tsc_bound, welch_bound
-from .sigcore import Record, SignatureSet, extend_set, load_set, tsc, tsc_increment
+from .sigcore import (Record, SignatureSet, _integer, _parse_integer, extend_set, load_set, tsc,
+                      tsc_increment)
 from .sphere import (
     DEFAULT_ML_CAP,
     CapExceeded,
@@ -75,9 +76,7 @@ def resolve_ml_cap() -> int:
     if raw is None:
         return DEFAULT_ML_CAP
     try:
-        if "_" in raw or not raw.isascii():  # int() takes "2_4" and non-ASCII digits
-            raise ValueError
-        cap = int(raw)
+        cap = _parse_integer(raw)
     except ValueError:
         raise ValueError(f"{ML_CAP_ENV} must be an integer, got {raw!r}") from None
     if cap < 1:
@@ -90,16 +89,16 @@ class ExtensionRecord(Record):
 
     __slots__ = ("k_before", "length", "tsc_before", "tsc_after", "method", "metric", "radius_c",
                  "lambda_min", "nodes_visited", "candidates_enumerated", "fp_bound",
-                 "jitter_applied", "welch_after", "binary_bound_after", "audit_agreement")
+                 "jitter_applied", "audit_agreement")
 
     def __init__(self, k_before: int, length: int, tsc_before: int, tsc_after: int,
                  method: str, metric: int, radius_c: float, lambda_min: float,
                  nodes_visited: int, candidates_enumerated: int, fp_bound: float | None,
-                 jitter_applied: bool, welch_after: BoundValue, binary_bound_after: BoundValue,
+                 jitter_applied: bool,
                  audit_agreement: bool | None = None):  # True: sd and ml agreed; None: unaudited
         super().__init__(k_before, length, tsc_before, tsc_after, method, metric, radius_c,
                          lambda_min, nodes_visited, candidates_enumerated, fp_bound,
-                         jitter_applied, welch_after, binary_bound_after, audit_agreement)
+                         jitter_applied, audit_agreement)
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -123,6 +122,9 @@ class ExtensionRecord(Record):
     @property
     def k_after(self) -> int:
         return self.k_before + 1
+
+    welch_after = property(lambda self: welch_bound(self.k_after, self.length))
+    binary_bound_after = property(lambda self: _bound_after(self.k_after, self.length))
 
 
 class ChainReport(Record):
@@ -161,16 +163,13 @@ class CompareRow(Record):
 
 
 class CompareEntry(Record):
-    """One input file's outcome in a batch comparison; either a row with
-    bound gaps or a per-file error message."""
+    """One input file's outcome in a batch comparison; either a row or a
+    per-file error message. Its bound and gaps are derived when serialized."""
 
-    __slots__ = ("path", "error", "row", "bound", "gap_quant", "gap_descent", "gap_sd", "gap_ml")
+    __slots__ = ("path", "error", "row")
 
-    def __init__(self, path: str, error: str | None = None, row: CompareRow | None = None,
-                 bound: BoundValue | None = None, gap_quant: int | None = None,
-                 gap_descent: int | None = None, gap_sd: int | None = None,
-                 gap_ml: int | None = None):
-        super().__init__(path, error, row, bound, gap_quant, gap_descent, gap_sd, gap_ml)
+    def __init__(self, path: str, error: str | None = None, row: CompareRow | None = None):
+        super().__init__(path, error, row)
 
 
 class CompareReport(Record):
@@ -202,7 +201,6 @@ def _solve(step: StepAnalysis, method: str, cap: int) -> SearchResult:
         best_metric=step.quant_metric,
         candidates_enumerated=1,
         nodes_visited=1,
-        radius_c=step.radius,
         ties=1,
     )
 
@@ -266,8 +264,6 @@ def extend_once(
         candidates_enumerated=result.candidates_enumerated,
         fp_bound=step.fp_bound,
         jitter_applied=step.jitter_applied,
-        welch_after=welch_bound(signature_set.k + 1, length),
-        binary_bound_after=_bound_after(signature_set.k + 1, length),
         audit_agreement=True if audit else None,
     )
     return extended, record, record.audit_agreement
@@ -281,7 +277,7 @@ def upscale_chain(
     audit: bool | None = None,
 ) -> ChainReport:
     """Extend one signature at a time until the set holds ``target_k``."""
-    if target_k <= initial.k:
+    if (target_k := _integer(target_k)) <= initial.k:
         raise ValueError(f"target K={target_k} must exceed the current K={initial.k}")
     current = initial
     records = []
@@ -334,23 +330,9 @@ def one_shot_experiment(set_paths) -> CompareReport:
     for path in set_paths:
         path = str(path)
         try:
-            loaded = load_set(path)
-            row = compare_methods(loaded)
+            entries.append(CompareEntry(path=path, row=compare_methods(load_set(path))))
         except INPUT_ERRORS as exc:
             entries.append(CompareEntry(path=path, error=_error_text(exc)))
-            continue
-        bound = _bound_after(row.k_after, row.length)
-        entries.append(
-            CompareEntry(
-                path=path,
-                row=row,
-                bound=bound,
-                gap_quant=row.tsc_quant - bound.value,
-                gap_descent=row.tsc_descent - bound.value,
-                gap_sd=row.tsc_sd - bound.value,
-                gap_ml=row.tsc_ml - bound.value,
-            )
-        )
     return CompareReport(entries=tuple(entries))
 
 
@@ -387,11 +369,14 @@ def _step_json(record: ExtensionRecord) -> dict:
 
 
 def _entry_json(entry: CompareEntry) -> dict:
-    """One compare entry, its row inlined; an error entry's row reads as null."""
-    obj = {name: getattr(entry, name) for name in entry.__slots__}
-    row = obj.pop("row")
+    """One compare entry: its row inlined, with the binary bound and each TSC's
+    gap above it; an error entry's row, bound and gaps read as null."""
+    row = entry.row
+    bound = None if row is None else _bound_after(row.k_after, row.length)
+    obj = {"path": entry.path, "error": entry.error, "binary_bound": _bound_json(bound)}
     obj.update((name, getattr(row, name, None)) for name in CompareRow.__slots__)
-    obj["binary_bound"] = _bound_json(obj.pop("bound"))
+    for method in METHODS:
+        obj[f"gap_{method}"] = None if bound is None else obj[f"tsc_{method}"] - bound.value
     return obj
 
 

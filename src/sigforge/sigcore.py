@@ -44,6 +44,23 @@ class SetFormatError(ValueError):
     """A signature-set file violates the text format."""
 
 
+def _integer(value) -> int:
+    """``value`` as a Python int: any integer type but bool, else TypeError."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return operator.index(value)
+
+
+def _parse_integer(text: str) -> int:
+    """``int(text)``, but a ``_`` or a non-ASCII digit, which ``int`` takes, is a ValueError."""
+    if "_" in text or not text.isascii():
+        raise ValueError(f"invalid integer {text!r}")
+    return int(text)
+
+
+_parse_integer.__name__ = "integer"  # argparse's error then reads "invalid integer value"
+
+
 class Record:
     """Base of sigforge's records: ``__init__`` sets the ``__slots__`` fields in order and
     ``__post_init__`` checks them; they are read-only after. Records of one class with equal
@@ -302,11 +319,12 @@ def quadratic_metric(matrix: CorrelationMatrix, signature: Signature) -> int:
 
 def tsc_increment(tsc_k: int, metric: int, length: int) -> int:
     """TSC of the enlarged set: tsc_k + L^2 + 2 * (s^T R s), exactly."""
+    tsc_k, metric, length = _integer(tsc_k), _integer(metric), _integer(length)
     if metric < 0:
         raise ValueError("quadratic metric must be non-negative")
     if length < 1:
         raise ValueError("length must be >= 1")
-    return int(tsc_k) + length * length + 2 * int(metric)
+    return tsc_k + length * length + 2 * metric
 
 
 def extend_set(signature_set: SignatureSet, signature: Signature) -> SignatureSet:
@@ -324,7 +342,7 @@ def hadamard_set(length: int) -> SignatureSet:
 
     Meets the Welch bound with equality: tsc == K * L^2.
     """
-    if length < 1 or (length & (length - 1)) != 0:
+    if (length := _integer(length)) < 1 or (length & (length - 1)) != 0:
         raise ValueError(f"construction needs a power-of-two length, got {length}")
     h = np.array([[1]], dtype=np.int64)
     while h.shape[0] < length:
@@ -363,9 +381,7 @@ def load_set(path) -> SignatureSet:
     if len(parts) != 2:
         raise SetFormatError(f"line {header_lineno}: header must be 'K L', got {_text(header)!r}")
     try:
-        if b"_" in header:  # int() takes b"0_1"; it refuses non-ASCII digits in bytes
-            raise ValueError
-        k, length = int(parts[0]), int(parts[1])
+        k, length = (_parse_integer(_text(part)) for part in parts)
     except ValueError:
         raise SetFormatError(
             f"line {header_lineno}: header must hold two integers, got {_text(header)!r}"

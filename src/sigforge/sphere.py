@@ -40,6 +40,7 @@ from .sigcore import (
     Record,
     Signature,
     SignatureSet,
+    _integer,
     correlation_matrix,
     quadratic_metric,
 )
@@ -88,18 +89,16 @@ class SearchResult(Record):
     ``candidates`` holds the enumerated (signature, exact metric) pairs in
     visit order, which is lexicographic (+1 < -1), when the search kind
     retains them (the fixed-radius sphere walk does; the first-optimum walk,
-    the exhaustive and descent oracles do not). ``radius_c`` is +inf for the
-    unbounded oracles.
+    the exhaustive and descent oracles do not).
     """
 
-    __slots__ = ("best", "best_metric", "candidates_enumerated", "nodes_visited", "radius_c",
-                 "ties", "candidates")
+    __slots__ = ("best", "best_metric", "candidates_enumerated", "nodes_visited", "ties",
+                 "candidates")
     __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __init__(self, best: Signature, best_metric: int, candidates_enumerated: int,
-                 nodes_visited: int, radius_c: float, ties: int, candidates: tuple | None = None):
-        super().__init__(best, best_metric, candidates_enumerated, nodes_visited, radius_c, ties,
-                         candidates)
+                 nodes_visited: int, ties: int, candidates: tuple | None = None):
+        super().__init__(best, best_metric, candidates_enumerated, nodes_visited, ties, candidates)
 
 
 def radius_squared(matrix: CorrelationMatrix, quantized: Signature) -> float:
@@ -354,7 +353,6 @@ def sphere_search(
         best_metric=best_metric,
         candidates_enumerated=leaves,
         nodes_visited=nodes,
-        radius_c=float(radius),
         ties=1 if candidates is None else sum(1 for _, m in candidates if m == best_metric),
         candidates=None if candidates is None else tuple(candidates),
     )
@@ -384,7 +382,7 @@ def ml_exhaustive(matrix: CorrelationMatrix, cap: int = DEFAULT_ML_CAP) -> Searc
     the float minimum is an InternalConsistencyError.
     """
     dim = matrix.dim
-    if dim > cap:
+    if dim > _integer(cap):
         raise CapExceeded(f"L={dim} exceeds the exhaustive-search cap of {cap}")
     r = matrix.entries
     if matrix.abs_sum >= EXACT_SCAN_LIMIT:
@@ -424,7 +422,6 @@ def ml_exhaustive(matrix: CorrelationMatrix, cap: int = DEFAULT_ML_CAP) -> Searc
         best_metric=exact,
         candidates_enumerated=total,
         nodes_visited=total,
-        radius_c=math.inf,
         ties=ties,
     )
 
@@ -454,7 +451,6 @@ def local_descent_baseline(matrix: CorrelationMatrix, start: Signature) -> Searc
         best_metric=metric,
         candidates_enumerated=points,
         nodes_visited=evals,
-        radius_c=math.inf,
         ties=1,
     )
 

@@ -298,6 +298,17 @@ class TestRoundingSlack:
         assert walked_form(matrix)[0].jitter > 0.0
         assert_budgets_within_slack(matrix, count=8)
 
+    def test_non_diagonal_form_at_l_1100(self):
+        # A seeded K = 2L set. R is a float64 product, exact because every
+        # partial sum is an integer of magnitude at most K < 2^53, and the
+        # checking constructor takes it; the int64 product takes seconds here.
+        rows = np.random.default_rng(1100).choice([-1.0, 1.0], size=(2200, 1100))
+        matrix = CorrelationMatrix((rows.T @ rows).astype(np.int64))
+        lambda_min = min_eigenpair(matrix).value
+        assert walked_form(matrix, lambda_min)[1] > 0  # the proposal's form, not L*R + 2I
+        assert_budgets_within_slack(matrix, lambda_min, count=8)
+        assert_budgets_within_slack(matrix, count=8)
+
     def test_below_one_metric_unit_at_l_1100(self):
         # One metric unit is L in A's scale; b = 0 gives the largest diagonal.
         assert _rounding_slack(1100, 2200, -2, 0.0) < 1100

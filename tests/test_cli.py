@@ -61,6 +61,14 @@ class TestBoundCommand:
     def test_bad_dimensions(self, capsys):
         assert main(["bound", "--k", "0", "--l", "4"]) == 2
 
+    @pytest.mark.parametrize("k", ["1_0", "\u0661\u0660"], ids=["underscore", "arabic_indic"])
+    def test_integer_options_take_ascii_digits_only(self, k, capsys):
+        # int() alone reads both as 10.
+        with pytest.raises(SystemExit) as exited:
+            main(["bound", "--k", k, "--l", "4"])
+        assert exited.value.code == 2
+        assert "invalid integer value" in capsys.readouterr().err
+
     def test_table_file(self, tmp_path, capsys):
         table = tmp_path / "table.json"
         table.write_text(
@@ -194,6 +202,12 @@ class TestChainCommand:
     def test_start_must_be_unambiguous(self, h4_file, capsys):
         assert main(["chain", h4_file, "--hadamard", "4", "--to", "8"]) == 2
         assert main(["chain", "--to", "8"]) == 2
+
+    def test_target_takes_ascii_digits_only(self, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["chain", "--hadamard", "4", "--to", "0_6"])
+        assert exited.value.code == 2
+        assert "argument --to: invalid integer value: '0_6'" in capsys.readouterr().err
 
     def test_target_below_start(self, h4_file, capsys):
         assert main(["chain", h4_file, "--to", "3"]) == 2

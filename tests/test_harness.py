@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from sigforge import (
-    BoundValue,
     CapExceeded,
     ChainReport,
     CompareReport,
@@ -129,16 +128,14 @@ class TestExtendOnce:
             candidates_enumerated=1,
             fp_bound=100.0,
             jitter_applied=False,
-            welch_after=BoundValue(100, "welch"),
-            binary_bound_after=BoundValue(100, "binary_fallback_welch"),
         )
         ExtensionRecord(**sane)
         with pytest.raises(InternalConsistencyError):
             ExtensionRecord(**{**sane, "tsc_after": 113})
-        with pytest.raises(InternalConsistencyError):
-            ExtensionRecord(
-                **{**sane, "welch_after": BoundValue(4096, "welch")}
-            )
+        # The recursion holds (0 + 16 + 2 * 0), but the Welch bound at K = 5,
+        # L = 4 is 100, and the record computes it rather than taking it.
+        with pytest.raises(InternalConsistencyError, match="below the Welch bound 100"):
+            ExtensionRecord(**{**sane, "tsc_before": 0, "tsc_after": 16, "metric": 0})
         with pytest.raises(ValueError):
             ExtensionRecord(**{**sane, "method": "sdm"})
         assert ExtensionRecord(**sane).audit_agreement is None
@@ -231,16 +228,20 @@ class TestOneShot:
         ok, bad = report.entries
         assert ok.error is None
         assert ok.row.tsc_sd == 4864
-        assert ok.bound.kind == "binary_fallback_welch"
-        assert ok.gap_sd == 4864 - welch_bound(17, 16).value
         assert bad.error is not None and bad.row is None
+        ok_json, bad_json = json.loads(emit_report(report, "json"))["entries"]
+        assert ok_json["binary_bound"]["kind"] == "binary_fallback_welch"
+        assert ok_json["gap_sd"] == 4864 - welch_bound(17, 16).value
+        assert bad_json["binary_bound"] is None and bad_json["gap_sd"] is None
 
     def test_gap_columns_match_rows(self, tmp_path):
         path = tmp_path / "h4.txt"
         save_set(hadamard_set(4), path)
-        entry = one_shot_experiment([path]).entries[0]
-        assert entry.gap_quant == entry.row.tsc_quant - entry.bound.value
-        assert entry.gap_ml == entry.row.tsc_ml - entry.bound.value
+        entry = json.loads(emit_report(one_shot_experiment([path]), "json"))["entries"][0]
+        assert entry["binary_bound"] == {"value": 100, "kind": "binary_fallback_welch"}
+        for method in ("quant", "descent", "sd", "ml"):
+            assert entry[f"gap_{method}"] == entry[f"tsc_{method}"] - 100
+        assert entry["gap_sd"] == 12
 
     def test_set_above_cap_is_a_per_file_error(self, tmp_path, monkeypatch):
         monkeypatch.delenv(ML_CAP_ENV, raising=False)

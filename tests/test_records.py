@@ -53,16 +53,14 @@ PARAMETERS = {
     ],
     SearchResult: [
         ("best", NO_DEFAULT), ("best_metric", NO_DEFAULT), ("candidates_enumerated", NO_DEFAULT),
-        ("nodes_visited", NO_DEFAULT), ("radius_c", NO_DEFAULT), ("ties", NO_DEFAULT),
-        ("candidates", None),
+        ("nodes_visited", NO_DEFAULT), ("ties", NO_DEFAULT), ("candidates", None),
     ],
     ExtensionRecord: [
         ("k_before", NO_DEFAULT), ("length", NO_DEFAULT), ("tsc_before", NO_DEFAULT),
         ("tsc_after", NO_DEFAULT), ("method", NO_DEFAULT), ("metric", NO_DEFAULT),
         ("radius_c", NO_DEFAULT), ("lambda_min", NO_DEFAULT), ("nodes_visited", NO_DEFAULT),
         ("candidates_enumerated", NO_DEFAULT), ("fp_bound", NO_DEFAULT),
-        ("jitter_applied", NO_DEFAULT), ("welch_after", NO_DEFAULT),
-        ("binary_bound_after", NO_DEFAULT), ("audit_agreement", None),
+        ("jitter_applied", NO_DEFAULT), ("audit_agreement", None),
     ],
     ChainReport: [
         ("method", NO_DEFAULT), ("initial_k", NO_DEFAULT), ("initial_length", NO_DEFAULT),
@@ -73,10 +71,7 @@ PARAMETERS = {
         ("tsc_quant", NO_DEFAULT), ("tsc_descent", NO_DEFAULT), ("tsc_sd", NO_DEFAULT),
         ("tsc_ml", NO_DEFAULT),
     ],
-    CompareEntry: [
-        ("path", NO_DEFAULT), ("error", None), ("row", None), ("bound", None),
-        ("gap_quant", None), ("gap_descent", None), ("gap_sd", None), ("gap_ml", None),
-    ],
+    CompareEntry: [("path", NO_DEFAULT), ("error", None), ("row", None)],
     CompareReport: [("entries", NO_DEFAULT)],
 }
 
@@ -88,9 +83,7 @@ def overloaded_set():
 
 
 def compare_entry(path):
-    row = compare_methods(overloaded_set())
-    bound = welch_bound(row.k_after, row.length)
-    return CompareEntry(path, row=row, bound=bound, gap_sd=row.tsc_sd - bound.value)
+    return CompareEntry(path, row=compare_methods(overloaded_set()))
 
 
 def fixed_radius_walk(signature_set):
@@ -199,6 +192,18 @@ def test_equality_and_hashing(cls):
             hash(a)
     else:
         assert hash(a) == hash(b) and len({a, b}) == 1
+
+
+def test_records_store_no_derived_field():
+    # The bounds after a step follow from K + 1 and L, a compare entry's bound
+    # and gaps from its row, and the radius is the caller's own argument.
+    assert CompareEntry.__slots__ == ("path", "error", "row")
+    assert "radius_c" not in SearchResult.__slots__
+    for name in ("welch_after", "binary_bound_after"):
+        assert name not in ExtensionRecord.__slots__
+        assert isinstance(getattr(ExtensionRecord, name), property)
+    record = BUILD[ExtensionRecord][0]()
+    assert record.welch_after == welch_bound(record.k_after, record.length)
 
 
 def test_equality_is_per_class():

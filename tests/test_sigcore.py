@@ -15,14 +15,19 @@ from sigforge import (
     SetFormatError,
     Signature,
     SignatureSet,
+    binary_tsc_bound,
     correlation_matrix,
     extend_set,
+    fp_operation_bound,
     hadamard_set,
     load_set,
+    ml_exhaustive,
     quadratic_metric,
     save_set,
     tsc,
     tsc_increment,
+    upscale_chain,
+    welch_bound,
 )
 
 
@@ -59,8 +64,38 @@ MALFORMED = {
 }
 
 
+# A count or dimension argument of each function that takes one: a valid
+# value, and the call with the argument in that place.
+INTEGER_ARGUMENTS = {
+    "welch_bound": (5, lambda n: welch_bound(n, 4)),
+    "binary_tsc_bound": (5, lambda n: binary_tsc_bound(n, 4)),
+    "fp_operation_bound": (2, lambda n: fp_operation_bound(n, 1.0, 1.0)),
+    "tsc_increment": (1, lambda n: tsc_increment(0, n, 2)),
+    "hadamard_set": (4, hadamard_set),
+    "upscale_chain": (6, lambda n: upscale_chain(hadamard_set(4), n).final_set),
+    "ml_exhaustive": (4, lambda n: ml_exhaustive(correlation_matrix(hadamard_set(4)), n).best),
+}
+
+
 def random_set(rng, k, length):
     return SignatureSet.from_rows(rng.choice([-1, 1], size=(k, length)).tolist())
+
+
+class TestIntegerArguments:
+    """Counts and dimensions take any integer type but bool, as Python ints."""
+
+    @pytest.mark.parametrize("name", list(INTEGER_ARGUMENTS))
+    def test_numpy_integer_acts_as_int(self, name):
+        value, call = INTEGER_ARGUMENTS[name]
+        expected, got = call(value), call(np.int64(value))
+        assert got == expected
+        assert type(getattr(got, "value", got)) is type(getattr(expected, "value", expected))
+
+    @pytest.mark.parametrize("bad", [True, 1.5, 5.5])
+    @pytest.mark.parametrize("name", list(INTEGER_ARGUMENTS))
+    def test_bool_and_float_refused(self, name, bad):
+        with pytest.raises(TypeError):
+            INTEGER_ARGUMENTS[name][1](bad)
 
 
 class TestSignature:

