@@ -128,23 +128,34 @@ class ExtensionRecord(Record):
 
 
 class ChainReport(Record):
-    """Consecutive one-by-one extensions from a fixed initial set."""
+    """Consecutive one-by-one extensions from a fixed initial set; the
+    method and the initial set's K and L are those of the first step."""
 
-    __slots__ = ("method", "initial_k", "initial_length", "records", "final_set")
+    __slots__ = ("records", "final_set")
 
-    def __init__(self, method: str, initial_k: int, initial_length: int, records: tuple,
-                 final_set: SignatureSet):
-        super().__init__(method, initial_k, initial_length, records, final_set)
+    def __init__(self, records: tuple, final_set: SignatureSet):
+        super().__init__(records, final_set)
 
     def __post_init__(self):
-        previous = None
-        for record in self.records:
-            if previous is not None and record.tsc_before != previous.tsc_after:
+        if not self.records:
+            raise ValueError("a chain report needs at least one step")
+        for previous, record in zip(self.records, self.records[1:]):
+            end = (previous.k_after, previous.tsc_after, previous.method, previous.length)
+            if (record.k_before, record.tsc_before, record.method, record.length) != end:
                 raise InternalConsistencyError(
-                    f"chain break at K={record.k_before}: tsc_before "
-                    f"{record.tsc_before} != previous tsc_after {previous.tsc_after}"
+                    f"chain break at K={record.k_before}: the step does not continue "
+                    f"the previous one's (K, TSC, method, L) = {end}"
                 )
-            previous = record
+        last = self.records[-1]
+        if (self.final_set.k, self.final_set.length) != (last.k_after, last.length):
+            raise InternalConsistencyError(
+                f"final set at K={self.final_set.k}, L={self.final_set.length} is not the "
+                f"last step's K={last.k_after}, L={last.length}"
+            )
+
+    method = property(lambda self: self.records[0].method)
+    initial_k = property(lambda self: self.records[0].k_before)
+    initial_length = property(lambda self: self.records[0].length)
 
     @property
     def audit(self) -> tuple:
@@ -170,6 +181,10 @@ class CompareEntry(Record):
 
     def __init__(self, path: str, error: str | None = None, row: CompareRow | None = None):
         super().__init__(path, error, row)
+
+    def __post_init__(self):
+        if (self.error is None) == (self.row is None):
+            raise ValueError("a compare entry holds exactly one of a row and an error")
 
 
 class CompareReport(Record):
@@ -258,7 +273,7 @@ def extend_once(
         tsc_after=tsc(extended),
         method=method,
         metric=result.best_metric,
-        radius_c=step.radius,
+        radius_c=float(step.quant_metric),
         lambda_min=step.lambda_min,
         nodes_visited=result.nodes_visited,
         candidates_enumerated=result.candidates_enumerated,
@@ -284,13 +299,7 @@ def upscale_chain(
     while current.k < target_k:
         current, record, _ = extend_once(current, method, audit=audit)
         records.append(record)
-    return ChainReport(
-        method=method,
-        initial_k=initial.k,
-        initial_length=initial.length,
-        records=tuple(records),
-        final_set=current,
-    )
+    return ChainReport(tuple(records), current)
 
 
 def compare_methods(signature_set: SignatureSet) -> CompareRow:

@@ -52,8 +52,9 @@ def _integer(value) -> int:
 
 
 def _parse_integer(text: str) -> int:
-    """``int(text)``, but a ``_`` or a non-ASCII digit, which ``int`` takes, is a ValueError."""
-    if "_" in text or not text.isascii():
+    """``int(text)``, but a ``_``, a non-ASCII digit or surrounding whitespace, which ``int``
+    takes, is a ValueError."""
+    if "_" in text or not text.isascii() or text != text.strip():
         raise ValueError(f"invalid integer {text!r}")
     return int(text)
 

@@ -101,13 +101,14 @@ class SearchResult(Record):
         super().__init__(best, best_metric, candidates_enumerated, nodes_visited, ties, candidates)
 
 
-def radius_squared(matrix: CorrelationMatrix, quantized: Signature) -> float:
-    """Squared search radius: the exact metric of the quantized eigenvector.
+def radius_squared(matrix: CorrelationMatrix, quantized: Signature) -> int:
+    """Squared search radius: the exact integer metric of the quantized eigenvector.
 
     The cube minimizer of s^T R s can do no worse than any particular cube
-    point, so a sphere of this radius always contains it.
+    point, so a sphere of this radius always contains it. A float copy can
+    round below the metric once it passes 2^53, and so lose every point.
     """
-    return float(quadratic_metric(matrix, quantized))
+    return quadratic_metric(matrix, quantized)
 
 
 def _positive_definite(a: list) -> bool:
@@ -201,9 +202,10 @@ def sphere_search(
 
     b is the proposal ceil(lambda_min * L), or 0 when no ``lambda_min`` is
     given or A for the proposal needs jitter; L*R + 2I >= 2I is factored
-    once, and a jitter that rounding makes it need widens the budget. Any A
-    that factors ranks leaves as R does; only a floor proven by ``certified_floor``,
-    asked once a leaf's exact metric reaches the proposal, stops the walk.
+    once, and the jitter it takes when a pivot falls below ``cholesky``'s
+    floor widens the budget. Any A that factors ranks leaves as R does; only
+    a floor proven by ``certified_floor``, asked once a leaf's exact metric
+    reaches the proposal, stops the walk.
 
     The tree is expanded in blocks: a block is a lexicographically ordered
     run of admitted nodes at one level, and one matrix-vector product scores
@@ -232,7 +234,8 @@ def sphere_search(
     neither counts the dive.
 
     Raises EmptySphere when no candidate lies inside; with the quantized
-    eigenvector radius that cannot happen.
+    eigenvector's exact integer metric (``radius_squared``) as the radius
+    that cannot happen.
     """
     if not (radius >= 0.0):
         raise ValueError("radius must be >= 0")
@@ -472,13 +475,10 @@ class StepAnalysis(Record):
                  quant_metric: int, jitter_applied: bool, fp_bound: float | None):
         super().__init__(matrix, lambda_min, quantized, quant_metric, jitter_applied, fp_bound)
 
-    @property
-    def radius(self) -> float:
-        return float(self.quant_metric)
-
     def first_optimum(self) -> SearchResult:
-        """The optimal extension by the first-optimum sphere walk."""
-        return sphere_search(self.matrix, self.radius, lambda_min=self.lambda_min)
+        """The optimal extension by the first-optimum sphere walk, from the
+        quantized eigenvector's exact metric."""
+        return sphere_search(self.matrix, self.quant_metric, lambda_min=self.lambda_min)
 
 
 def analyse_step(signature_set: SignatureSet) -> StepAnalysis:

@@ -183,7 +183,7 @@ class TestSameCountsAsDepthFirst:
 
     def test_several_improvements_in_one_walk(self):
         step = analyse_step(seeded_set(24, 24, 16))
-        result = assert_same_walk(step.matrix, step.radius, step.lambda_min)
+        result = assert_same_walk(step.matrix, step.quant_metric, step.lambda_min)
         assert result.candidates_enumerated == 6  # each leaf lowers the cap
 
     def test_floor_stop_inside_a_block(self):
@@ -198,7 +198,7 @@ class TestSameCountsAsDepthFirst:
         rows = list(reference_chain.final_set)
         for k in range(16, 32):
             step = analyse_step(SignatureSet(tuple(rows[:k])))
-            result = assert_same_walk(step.matrix, step.radius, step.lambda_min)
+            result = assert_same_walk(step.matrix, step.quant_metric, step.lambda_min)
             assert result.best_metric == certified_floor(step.matrix, step.lambda_min)
 
     def test_failing_proposal_walks_l_r_plus_2i(self, monkeypatch):

@@ -61,9 +61,13 @@ class TestBoundCommand:
     def test_bad_dimensions(self, capsys):
         assert main(["bound", "--k", "0", "--l", "4"]) == 2
 
-    @pytest.mark.parametrize("k", ["1_0", "\u0661\u0660"], ids=["underscore", "arabic_indic"])
+    @pytest.mark.parametrize(
+        "k",
+        ["1_0", "\u0661\u0660", " 10", "10\n"],
+        ids=["underscore", "arabic_indic", "leading_space", "trailing_newline"],
+    )
     def test_integer_options_take_ascii_digits_only(self, k, capsys):
-        # int() alone reads both as 10.
+        # int() alone reads each as 10.
         with pytest.raises(SystemExit) as exited:
             main(["bound", "--k", k, "--l", "4"])
         assert exited.value.code == 2

@@ -8,6 +8,7 @@ import pytest
 from sigforge import (
     CapExceeded,
     ChainReport,
+    CompareEntry,
     CompareReport,
     ExtensionRecord,
     InternalConsistencyError,
@@ -40,7 +41,9 @@ class TestMlCap:
         assert resolve_ml_cap() == 10
 
     @pytest.mark.parametrize(
-        "raw", ["many", "2_4", "\u0662\u0664"], ids=["word", "underscore", "arabic_indic"]
+        "raw",
+        ["many", "2_4", "\u0662\u0664", " 24 "],
+        ids=["word", "underscore", "arabic_indic", "surrounding_spaces"],
     )
     def test_garbage_env_rejected(self, monkeypatch, raw):
         monkeypatch.setenv(ML_CAP_ENV, raw)
@@ -183,13 +186,23 @@ class TestUpscaleChain:
     def test_chain_validation_catches_breaks(self):
         report = upscale_chain(hadamard_set(4), 6)
         with pytest.raises(InternalConsistencyError):
-            ChainReport(
-                method="sd",
-                initial_k=4,
-                initial_length=4,
-                records=(report.records[1], report.records[0]),
-                final_set=report.final_set,
-            )
+            ChainReport((report.records[1], report.records[0]), report.final_set)
+
+    def test_final_set_must_follow_the_last_step(self):
+        # The steps grow a K = 4, L = 4 set to K = 6; Hadamard 16 is not their end.
+        report = upscale_chain(hadamard_set(4), 6)
+        with pytest.raises(InternalConsistencyError, match="final set"):
+            ChainReport(report.records, hadamard_set(16))
+
+    def test_steps_share_one_method(self):
+        sd = upscale_chain(hadamard_set(4), 6, "sd")
+        quant = upscale_chain(sd.final_set, 8, "quant")
+        with pytest.raises(InternalConsistencyError, match="chain break at K=6"):
+            ChainReport(sd.records + quant.records, quant.final_set)
+
+    def test_empty_report_refused(self):
+        with pytest.raises(ValueError, match="at least one step"):
+            ChainReport((), hadamard_set(4))
 
 
 class TestCompareMethods:
@@ -233,6 +246,14 @@ class TestOneShot:
         assert ok_json["binary_bound"]["kind"] == "binary_fallback_welch"
         assert ok_json["gap_sd"] == 4864 - welch_bound(17, 16).value
         assert bad_json["binary_bound"] is None and bad_json["gap_sd"] is None
+
+    def test_entry_holds_a_row_or_an_error(self):
+        # Neither would serialize a row of empty cells that counts as a success.
+        row = compare_methods(hadamard_set(4))
+        with pytest.raises(ValueError, match="exactly one"):
+            CompareEntry("x")
+        with pytest.raises(ValueError, match="exactly one"):
+            CompareEntry("x", error="bad", row=row)
 
     def test_gap_columns_match_rows(self, tmp_path):
         path = tmp_path / "h4.txt"

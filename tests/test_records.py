@@ -62,10 +62,7 @@ PARAMETERS = {
         ("candidates_enumerated", NO_DEFAULT), ("fp_bound", NO_DEFAULT),
         ("jitter_applied", NO_DEFAULT), ("audit_agreement", None),
     ],
-    ChainReport: [
-        ("method", NO_DEFAULT), ("initial_k", NO_DEFAULT), ("initial_length", NO_DEFAULT),
-        ("records", NO_DEFAULT), ("final_set", NO_DEFAULT),
-    ],
+    ChainReport: [("records", NO_DEFAULT), ("final_set", NO_DEFAULT)],
     CompareRow: [
         ("k_after", NO_DEFAULT), ("length", NO_DEFAULT), ("tsc_before", NO_DEFAULT),
         ("tsc_quant", NO_DEFAULT), ("tsc_descent", NO_DEFAULT), ("tsc_sd", NO_DEFAULT),
@@ -88,7 +85,7 @@ def compare_entry(path):
 
 def fixed_radius_walk(signature_set):
     step = analyse_step(signature_set)
-    return sphere_search(step.matrix, step.radius)  # keeps its candidates
+    return sphere_search(step.matrix, step.quant_metric)  # keeps its candidates
 
 
 # Each class builds two distinct instances from the same values and, for
@@ -196,14 +193,26 @@ def test_equality_and_hashing(cls):
 
 def test_records_store_no_derived_field():
     # The bounds after a step follow from K + 1 and L, a compare entry's bound
-    # and gaps from its row, and the radius is the caller's own argument.
+    # and gaps from its row, a chain's method and start from its first step,
+    # and the radius is the caller's own argument: a step's exact metric.
     assert CompareEntry.__slots__ == ("path", "error", "row")
+    assert ChainReport.__slots__ == ("records", "final_set")
     assert "radius_c" not in SearchResult.__slots__
-    for name in ("welch_after", "binary_bound_after"):
-        assert name not in ExtensionRecord.__slots__
-        assert isinstance(getattr(ExtensionRecord, name), property)
+    assert not hasattr(StepAnalysis, "radius")
+    for cls, names in (
+        (ExtensionRecord, ("welch_after", "binary_bound_after")),
+        (ChainReport, ("method", "initial_k", "initial_length")),
+    ):
+        for name in names:
+            assert name not in cls.__slots__
+            assert isinstance(getattr(cls, name), property)
     record = BUILD[ExtensionRecord][0]()
     assert record.welch_after == welch_bound(record.k_after, record.length)
+    report = BUILD[ChainReport][0]()
+    first = report.records[0]
+    assert (report.method, report.initial_k, report.initial_length) == (
+        first.method, first.k_before, first.length
+    )
 
 
 def test_equality_is_per_class():

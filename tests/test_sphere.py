@@ -16,6 +16,7 @@ from sigforge import (
     InternalConsistencyError,
     Signature,
     SignatureSet,
+    StepAnalysis,
     correlation_matrix,
     extend_once,
     extend_set,
@@ -377,7 +378,7 @@ class TestExtendOptimal:
         s = SignatureSet.from_rows(rng.choice([-1, 1], size=(6, 5)).tolist())
         step = analyse_step(s)
         result = step.first_optimum()
-        assert extend_once(s, "sd")[1].radius_c == step.radius == float(step.quant_metric)
+        assert extend_once(s, "sd")[1].radius_c == float(step.quant_metric)
         assert result.best_metric <= step.quant_metric
         assert result.candidates_enumerated >= 1
         assert step.fp_bound is None or step.fp_bound > 0.0
@@ -520,3 +521,50 @@ class TestMeetInTheMiddleScan:
         entries[0, 1] = entries[1, 0] = 1
         with pytest.raises(InternalConsistencyError, match="float minimum"):
             ml_exhaustive(CorrelationMatrix(entries))
+
+
+# R = K I_3 with K = 797094230289444740: every sign vector has the metric 3K,
+# and the float nearest 3K lies 140 below it.
+BIG_IDENTITY_K = 797_094_230_289_444_740
+
+
+@st.composite
+def sets_scaled_past_2_53(draw):
+    """c * S^T S for a set of L = 2 to 8 and K = 1 to 3L rows (K < L
+    included), with c chosen so that sum |R_ij| lies in [2^60, 2^62)."""
+    length = draw(st.integers(2, 8))
+    rows = draw(st.lists(chips_of(length), min_size=1, max_size=3 * length))
+    base = correlation_matrix(SignatureSet.from_rows(rows)).entries
+    total = int(np.abs(base).sum())
+    scale = draw(st.integers(-(-(1 << 60) // total), ((1 << 62) - 1) // total))
+    return CorrelationMatrix(scale * base)
+
+
+class TestRadiusAbove2To53:
+    """The walks start from the exact integer metric, which a float copy can
+    round below."""
+
+    def test_big_identity(self):
+        matrix = CorrelationMatrix(np.eye(3, dtype=np.int64) * BIG_IDENTITY_K)
+        pair = min_eigenpair(matrix)
+        quantized = quantize_sign(pair.vector)
+        metric = 3 * BIG_IDENTITY_K
+        assert int(float(metric)) == metric - 140
+        radius = radius_squared(matrix, quantized)
+        assert type(radius) is int and radius == metric
+        expected = (Signature((1, 1, 1)), metric)
+        result = sphere_search(matrix, radius, lambda_min=pair.value)
+        assert (result.best, result.best_metric) == expected
+        step = StepAnalysis(matrix, pair.value, quantized, radius, False, None)
+        result = step.first_optimum()
+        assert (result.best, result.best_metric) == expected
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(sets_scaled_past_2_53())
+    def test_every_walk_matches_brute_force(self, matrix):
+        pair = min_eigenpair(matrix)
+        radius = radius_squared(matrix, quantize_sign(pair.vector))
+        best, best_metric, _ = brute_force_scan(matrix, matrix.dim)
+        for lambda_min in (pair.value, 0.0, None):
+            result = sphere_search(matrix, radius, lambda_min=lambda_min)
+            assert (result.best, result.best_metric) == (best, best_metric)
