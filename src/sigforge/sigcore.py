@@ -3,9 +3,10 @@
 Data model for spreading-code design: length-L signatures over {-1, +1},
 ordered sets of K such signatures, their integer autocorrelation matrix
 R = sum_i s_i s_i^T, and the TSC bookkeeping used everywhere else in the
-package. All quantities here are exact Python/int64 integers; floating
-point is confined to the numerical kernel modules. TSC values are plain
-Python ints.
+package. All quantities here are exact Python/int64 integers, and TSC values
+are plain Python ints. S^T S is formed on float64 BLAS, which is exact under
+the bound ``_gram`` states, and cast back to int64; other floating point is
+confined to the numerical kernel modules.
 """
 
 from __future__ import annotations
@@ -276,19 +277,29 @@ class CorrelationMatrix(Record):
         return np.array_equal(self.entries, other.entries)
 
 
+def _gram(rows: np.ndarray) -> np.ndarray:
+    """S^T S of +-1 rows as int64, from one float64 BLAS product (numpy's int64
+    matmul has no BLAS). Every partial sum, in any order, is an integer of
+    magnitude at most K, so the product is exact while K < 2^53, which a
+    K x L int64 array that fits in memory meets."""
+    floats = rows.astype(np.float64)
+    return (floats.T @ floats).astype(np.int64)
+
+
 def tsc(signature_set: SignatureSet) -> int:
     """Total squared correlation: sum over all ordered pairs of (s_i . s_j)^2.
 
     Exact in int64 while (K*L)^2 < 2^63, and refused with ValueError beyond
     that; equals trace((S S^T)^2) = ||R||_F^2, which sums the L x L R so
-    memory does not grow with K.
+    memory does not grow with K. R = S^T S is recounted from the rows by one
+    float64 product, exact while K < 2^53, which (K*L)^2 < 2^63 implies.
     """
     scale = (signature_set.k * signature_set.length) ** 2
     if scale >= INT64_LIMIT:
         raise ValueError(
             f"(K*L)^2 = {scale} is not below {INT64_LIMIT}, the bound for an exact int64 TSC"
         )
-    r = signature_set.rows.T @ signature_set.rows
+    r = _gram(signature_set.rows)
     return int((r * r).sum())
 
 
@@ -298,8 +309,10 @@ def correlation_matrix(signature_set: SignatureSet) -> CorrelationMatrix:
     R = S^T S of validated +-1 rows is symmetric with diagonal K and every
     |R_ij| <= K, so each row sums to at most K * L in int64; the exact total of
     those row sums decides the 2^63 refusal, and R is built without a check.
+    S^T S is one float64 product cast to int64, exact while K < 2^53: every
+    partial sum is an integer of magnitude at most K.
     """
-    product = signature_set.rows.T @ signature_set.rows
+    product = _gram(signature_set.rows)
     return CorrelationMatrix._trusted(product, _abs_sum(np.abs(product).sum(axis=1).tolist()))
 
 

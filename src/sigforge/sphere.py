@@ -59,8 +59,10 @@ __all__ = [
 ]
 
 DEFAULT_ML_CAP = 24
-# Float64 entries per block of the exhaustive scan (2 MB).
-_BLOCK = 1 << 18
+# Float64 entries per block of the exhaustive scan (256 KB), so a block stays
+# in a core's L2 cache: 2^15 beat 2^14, 2^16 and 2^18 at L = 16 to 24 on one
+# OpenBLAS thread (README).
+_BLOCK = 1 << 15
 # Rows per block of the sphere walk: fewer where the open blocks, up to
 # 2 * rows * L^2 float64 entries, would pass 2 * _WALK_ENTRIES (16 MB).
 WALK_BLOCK_ROWS = 256
@@ -363,10 +365,10 @@ def sphere_search(
 
 def _lex_signs(bits: int) -> np.ndarray:
     """All 2^bits sign rows in lexicographic order (+1 < -1), the first
-    column most significant."""
+    column most significant, as float64."""
     shifts = np.arange(bits - 1, -1, -1, dtype=np.int64)
     idx = np.arange(1 << bits, dtype=np.int64)[:, np.newaxis]
-    return 1 - 2 * ((idx >> shifts) & 1)
+    return 1.0 - 2.0 * ((idx >> shifts) & 1)
 
 
 def ml_exhaustive(matrix: CorrelationMatrix, cap: int = DEFAULT_ML_CAP) -> SearchResult:
@@ -374,32 +376,32 @@ def ml_exhaustive(matrix: CorrelationMatrix, cap: int = DEFAULT_ML_CAP) -> Searc
 
     Meet in the middle (Horowitz & Sahni 1974): s = (a, b) with head
     a = s_1..s_h, h = floor(L/2), so s^T R s = a^T A a + b^T B b + a^T (2 C b).
-    The head and tail forms and the cross products 2 C b are int64 tables,
+    The head and tail forms and the cross products 2 C b are float64 tables,
     folded into [a | a^T A a | 1] and [2 C b; 1; b^T B b], so each block of
     head rows costs one float64 matrix product and nothing is added after it.
-    Every partial sum, in any order, is an integer of magnitude at most
-    sum |R_ij|, so the floats are exact while that sum is below 2^53; beyond
-    it, as for L above ``cap``, the scan raises CapExceeded. The flat index
-    head * 2^(t-1) + tail is lexicographic, so the first minimum is the sphere
-    search's tie-break winner. It is re-scored in integers; disagreeing with
-    the float minimum is an InternalConsistencyError.
+    Every partial sum, in the tables and the blocks and in any order, is an
+    integer of magnitude at most sum |R_ij|, so the floats are exact while
+    that sum is below 2^53; beyond it, as for L above ``cap``, the scan raises
+    CapExceeded. The flat index head * 2^(t-1) + tail is lexicographic, so the
+    first minimum is the sphere search's tie-break winner. It is re-scored in
+    integers; disagreeing with the float minimum is an InternalConsistencyError.
     """
     dim = matrix.dim
     if dim > _integer(cap):
         raise CapExceeded(f"L={dim} exceeds the exhaustive-search cap of {cap}")
-    r = matrix.entries
     if matrix.abs_sum >= EXACT_SCAN_LIMIT:
         raise CapExceeded(
             f"L={dim}: sum |R_ij| = {matrix.abs_sum} is not below {EXACT_SCAN_LIMIT}, "
             "the bound for an exact float64 scan"
         )
+    r = matrix.entries.astype(np.float64)
     h = dim // 2
     heads = _lex_signs(h)
     tails = _lex_signs(dim - h)[::2]  # the rows with s_L = +1
     head_q = ((heads @ r[:h, :h]) * heads).sum(axis=1)
     tail_q = ((tails @ r[h:, h:]) * tails).sum(axis=1)
-    left = np.column_stack([heads, head_q, np.ones_like(head_q)]).astype(np.float64)
-    right = np.vstack([2 * r[:h, h:] @ tails.T, np.ones_like(tail_q), tail_q]).astype(np.float64)
+    left = np.column_stack([heads, head_q, np.ones_like(head_q)])
+    right = np.vstack([2 * r[:h, h:] @ tails.T, np.ones_like(tail_q), tail_q])
     n_tail = tails.shape[0]
     rows = max(1, _BLOCK // n_tail)
     best_metric, best_index, ties = math.inf, -1, 0

@@ -269,7 +269,7 @@ class TestTsc:
         # The L x L sum gives the K x K Gram matrix's exact integer, K < L
         # and K = 1 included.
         rng = np.random.default_rng(19)
-        shapes = [(1, 1), (1, 9), (3, 12), (12, 3), (27, 18), (40, 40)]
+        shapes = [(1, 1), (1, 9), (3, 12), (12, 3), (27, 18), (40, 40), (40, 1), (300, 200)]
         for k, length in shapes:
             s = random_set(rng, k, length)
             gram = s.rows @ s.rows.T
@@ -287,6 +287,29 @@ class TestTsc:
         gram = s.rows @ s.rows.T
         assert value == int((gram * gram).sum())
         assert peak < 1 << 20
+
+
+class TestGramKernel:
+    """S^T S from the float64 product against exact references; seeded sets
+    are checked against numpy's int64 product in ``TestTsc`` and
+    ``TestCorrelationMatrix``."""
+
+    @pytest.mark.parametrize("length", [512, 1024])
+    def test_hadamard_is_scaled_identity(self, length):
+        s = hadamard_set(length)
+        m = correlation_matrix(s)
+        assert m.entries.dtype == np.int64
+        assert np.array_equal(m.entries, length * np.eye(length, dtype=np.int64))
+        assert m.abs_sum == length * length
+        assert tsc(s) == length**3
+
+    def test_all_equal_rows_reach_k(self):
+        # Every |R_ij| is K, the largest magnitude a partial sum can reach.
+        k = 5000
+        s = SignatureSet._trusted(np.tile(np.array([[1, -1, -1, 1]]), (k, 1)))
+        entries = correlation_matrix(s).entries
+        assert np.array_equal(np.abs(entries), np.full((4, 4), k))
+        assert tsc(s) == 16 * k * k
 
 
 class TestCorrelationMatrix:
@@ -377,7 +400,9 @@ class TestCorrelationMatrix:
         correlation_matrix(random_set(np.random.default_rng(13), 27, 18))
         assert validations == []
 
-    @pytest.mark.parametrize("k, length", [(1, 1), (1, 9), (3, 8), (7, 12), (27, 18), (40, 5)])
+    @pytest.mark.parametrize(
+        "k, length", [(1, 1), (1, 9), (3, 8), (7, 12), (27, 18), (40, 5), (40, 1), (300, 200)]
+    )
     def test_equals_the_validated_matrix(self, k, length):
         rng = np.random.default_rng(k * 100 + length)
         s = random_set(rng, k, length)

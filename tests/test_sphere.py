@@ -1,6 +1,7 @@
 """Sphere search against brute force: optimality, completeness, accounting."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -479,6 +480,24 @@ class TestMeetInTheMiddleScan:
             assert (result.best, result.best_metric, result.ties) == brute_force_scan(
                 m, length
             )
+
+    @pytest.mark.parametrize("length, limit_mb", [(21, 1.5), (24, 2.5)])
+    def test_peak_memory_bounded(self, length, limit_mb):
+        # Blocks of 2^15 float64 entries: the traced peak is about 0.96 MB at
+        # L = 21 and 1.96 MB at L = 24, most of it the head and tail tables;
+        # blocks of 2^18 entries peaked at 4.45 MB and 5.45 MB.
+        rng = np.random.default_rng(400 + length)
+        rows = rng.choice([-1, 1], size=(3 * length // 2, length)).tolist()
+        m = correlation_matrix(SignatureSet.from_rows(rows))
+        tracemalloc.start()
+        try:
+            result = ml_exhaustive(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.nodes_visited == 1 << (length - 1)
+        assert result.best_metric == quadratic_metric(m, result.best)
+        assert peak < limit_mb * 2**20
 
     def test_cap_size_scan_matches_first_optimum(self):
         # One scan at the L = 24 cap: 2^23 points.
