@@ -37,12 +37,8 @@ class Underloaded(ValueError):
     """Binary TSC bound requested for K < L, outside the supported regime."""
 
 
-class BoundOverflow(OverflowError):
-    """Bound value exceeds the float range; carries ``saturated = True``."""
-
-    def __init__(self, message: str):
-        super().__init__(message)
-        self.saturated = True
+class BoundOverflow(ValueError):
+    """Bound value, or an argument of it, exceeds the float range."""
 
 
 class BoundValue(Record):
@@ -199,7 +195,7 @@ def fp_operation_bound(dim: int, radius: float, scale: float) -> float:
     smallest squared diagonal of the triangular factor, so radius * scale
     caps the per-coordinate enumeration range. Exact integer evaluation
     throughout (the closed form is an integer multiple of one half);
-    raises BoundOverflow if the value exceeds the float range.
+    raises BoundOverflow if an argument or the value exceeds the float range.
     """
     if (dim := _integer(dim)) < 1:
         raise ValueError("dimension must be a positive integer")
@@ -207,17 +203,15 @@ def fp_operation_bound(dim: int, radius: float, scale: float) -> float:
         raise ValueError("radius must be >= 0 and scale > 0")
     # L(L-1)(2L+5) is divisible by 6 for every integer L.
     base = dim * (dim - 1) * (2 * dim + 5) // 6
-    reach = float(radius) * float(scale)
-    if not math.isfinite(4.0 * reach):
-        raise BoundOverflow(f"radius * scale overflows the float range at L={dim}")
-    span = int(math.floor(reach))
-    root = math.isqrt(span)
-    cap = int(math.floor(4.0 * reach))
-    lattice = (2 * root + 1) * math.comb(cap + dim - 1, cap) + 1
-    doubled = 2 * base + (dim * dim + 12 * dim - 7) * lattice
     try:
+        reach = float(radius) * float(scale)
+        if not math.isfinite(4.0 * reach):
+            raise OverflowError
+        span = int(math.floor(reach))
+        root = math.isqrt(span)
+        cap = int(math.floor(4.0 * reach))
+        lattice = (2 * root + 1) * math.comb(cap + dim - 1, cap) + 1
+        doubled = 2 * base + (dim * dim + 12 * dim - 7) * lattice
         return float(doubled) / 2.0
     except OverflowError:
-        raise BoundOverflow(
-            f"operation bound exceeds float range at L={dim}, C*t={reach:.3e}"
-        ) from None
+        raise BoundOverflow(f"the operation bound at L={dim} exceeds the float range") from None

@@ -1,10 +1,10 @@
 """Command-line entry point.
 
 Commands: tsc, bound, extend, chain, compare, report. Exit codes: 0 on
-success, 2 on validation failure (bad files, bad arguments, caps, memory
-the input needs but cannot get), 3 on internal-consistency failure (a
-guaranteed equality broke, which means the implementation is wrong, not
-the input).
+success, 2 on validation failure (a ValueError: bad files, bad arguments,
+caps; an OSError; memory the input needs but cannot get), 3 on an
+InternalConsistencyError (a guaranteed equality broke, which means the
+implementation is wrong, not the input).
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from .bounds import binary_tsc_bound, load_bound_table, welch_bound
 from .harness import (
     INPUT_ERRORS,
     METHODS,
-    InternalConsistencyError,
     _METHOD_LABELS,
     _error_text,
     emit_report,
@@ -24,9 +23,8 @@ from .harness import (
     one_shot_experiment,
     upscale_chain,
 )
-from .linalg import EigenFailure, SingularMatrix
-from .sigcore import _parse_integer, hadamard_set, load_set, save_set, tsc
-from .sphere import EmptySphere
+from .sigcore import (InternalConsistencyError, _parse_integer, hadamard_set, load_set, save_set,
+                      tsc)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -189,7 +187,7 @@ def main(argv=None) -> int:
     except INPUT_ERRORS as exc:
         print(f"error: {_error_text(exc)}", file=sys.stderr)
         return 2
-    except (InternalConsistencyError, EmptySphere, SingularMatrix, EigenFailure) as exc:
+    except InternalConsistencyError as exc:
         print(f"internal consistency failure: {_error_text(exc)}", file=sys.stderr)
         return 3
 

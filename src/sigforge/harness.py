@@ -21,12 +21,10 @@ import json
 import os
 
 from .bounds import BoundValue, binary_tsc_bound, welch_bound
-from .sigcore import (Record, SignatureSet, _integer, _parse_integer, extend_set, load_set, tsc,
-                      tsc_increment)
+from .sigcore import (InternalConsistencyError, Record, SignatureSet, _integer, _parse_integer,
+                      extend_set, load_set, tsc, tsc_increment)
 from .sphere import (
     DEFAULT_ML_CAP,
-    CapExceeded,
-    InternalConsistencyError,
     SearchResult,
     StepAnalysis,
     analyse_step,
@@ -40,7 +38,6 @@ __all__ = [
     "CompareRow",
     "CompareEntry",
     "CompareReport",
-    "InternalConsistencyError",
     "extend_once",
     "upscale_chain",
     "compare_methods",
@@ -59,10 +56,10 @@ _METHOD_LABELS = {
 AUDIT_AUTO_MAX_L = 16
 ML_CAP_ENV = "SIGFORGE_ML_CAP"
 REPORT_SCHEMA = "sigforge.report/1"
-# Bad input or a limit hit: a file or argument that cannot be read or run,
-# including memory the set's size cannot get. The CLI exits 2 on these, and
-# a compare batch records them in that file's entry.
-INPUT_ERRORS = (ValueError, OSError, MemoryError, CapExceeded)
+# Bad input or a limit hit: every refusal sigforge raises is a ValueError, and a
+# file may be unreadable or the set's size need memory it cannot get. The CLI
+# exits 2 on these, and a compare batch records them in that file's entry.
+INPUT_ERRORS = (ValueError, OSError, MemoryError)
 
 
 def _error_text(exc: BaseException) -> str:
@@ -437,4 +434,4 @@ def emit_report(report, fmt: str) -> bytes:
         row = {key: v["value"] if isinstance(v, dict) else v for key, v in obj.items()}
         row["binary_bound_kind"] = None if obj[bound] is None else obj[bound]["kind"]
         writer.writerow(_cell(row[header]) for header in columns)
-    return buffer.getvalue().encode("utf-8")
+    return buffer.getvalue().encode("utf-8", errors="backslashreplace")

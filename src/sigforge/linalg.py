@@ -20,7 +20,8 @@ from operator import mul
 import numpy as np
 from numpy.linalg import LinAlgError, eigh
 
-from .sigcore import EXACT_SCAN_LIMIT, CorrelationMatrix, Record, Signature
+from .sigcore import (EXACT_SCAN_LIMIT, CorrelationMatrix, InternalConsistencyError, Record,
+                      Signature)
 
 __all__ = [
     "CholeskyFactor",
@@ -42,11 +43,11 @@ EIGEN_TOL = 1e-9
 RESIDUAL_TOL = 1e-8
 
 
-class SingularMatrix(ArithmeticError):
+class SingularMatrix(InternalConsistencyError):
     """Factorization pivot stayed at or below the floor even after jitter."""
 
 
-class EigenFailure(ArithmeticError):
+class EigenFailure(InternalConsistencyError):
     """The eigensolver failed, or its pair missed the residual tolerance."""
 
     def __init__(self, message: str, residual: float):

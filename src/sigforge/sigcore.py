@@ -23,6 +23,7 @@ __all__ = [
     "SignatureSet",
     "CorrelationMatrix",
     "SetFormatError",
+    "InternalConsistencyError",
     "tsc",
     "correlation_matrix",
     "quadratic_metric",
@@ -43,6 +44,10 @@ EXACT_SCAN_LIMIT = 1 << 53
 
 class SetFormatError(ValueError):
     """A signature-set file violates the text format."""
+
+
+class InternalConsistencyError(RuntimeError):
+    """A guaranteed-equal quantity came out unequal; the build is wrong."""
 
 
 def _integer(value) -> int:

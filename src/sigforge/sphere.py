@@ -37,6 +37,7 @@ from .linalg import SingularMatrix, cholesky, min_eigenpair, quantize_sign
 from .sigcore import (
     EXACT_SCAN_LIMIT,
     CorrelationMatrix,
+    InternalConsistencyError,
     Record,
     Signature,
     SignatureSet,
@@ -69,20 +70,16 @@ WALK_BLOCK_ROWS = 256
 _WALK_ENTRIES = 1 << 20
 
 
-class EmptySphere(RuntimeError):
+class EmptySphere(InternalConsistencyError):
     """Search finished with no candidate inside the radius.
 
-    Impossible when the radius is the quantized-eigenvector metric; callers
-    treat this as an internal-consistency failure, not an input error.
+    Impossible when the radius is the quantized-eigenvector metric, so inside
+    a run it means a broken invariant, not an input error.
     """
 
 
-class CapExceeded(RuntimeError):
+class CapExceeded(ValueError):
     """Exhaustive scan refused: L above the cap, or R too large to scan exactly."""
-
-
-class InternalConsistencyError(RuntimeError):
-    """A guaranteed-equal quantity came out unequal; the build is wrong."""
 
 
 class SearchResult(Record):
@@ -200,7 +197,9 @@ def sphere_search(
     arrive in tie-break order: lexicographic with +1 < -1. Every antipodal s
     has s^T s = L, so s^T A s = L * s^T R s - (b-2) * L ranks leaves as R
     does. Every leaf is re-scored exactly by ``quadratic_metric``, and the
-    first leaf at the minimal metric is returned.
+    first leaf at the minimal metric is returned. No metric exceeds
+    sum |R_ij|, so a radius at or above it (``math.inf`` or an integer beyond
+    the float range too) is walked as that sum, whose ball holds every s.
 
     b is the proposal ceil(lambda_min * L), or 0 when no ``lambda_min`` is
     given or A for the proposal needs jitter; L*R + 2I >= 2I is factored
@@ -273,7 +272,7 @@ def sphere_search(
         return dim * float(metric - shift) + jitter + slack
 
     candidates: list[tuple[Signature, int]] | None = [] if lambda_min is None else None
-    start = radius if math.isinf(radius) else math.floor(radius)
+    start = matrix.abs_sum if radius >= matrix.abs_sum else math.floor(radius)
     if candidates is None:
         # Babai's nearest-plane leaf: at each level the sign closest to -delta, +1 on a tie.
         dive: list[int] = []

@@ -208,15 +208,19 @@ class TestFpOperationBound:
             assert fp_operation_bound(dim, c1, t1) <= fp_operation_bound(dim, c1, t2)
 
     def test_overflow_signals_saturated(self):
-        with pytest.raises(BoundOverflow) as info:
+        with pytest.raises(BoundOverflow):
             fp_operation_bound(2, 1e160, 1e160)  # reach itself overflows
-        assert info.value.saturated is True
-        with pytest.raises(BoundOverflow) as info:
+        with pytest.raises(BoundOverflow):
             fp_operation_bound(2, 1e154, 1e154)  # exact value too big for float
-        assert info.value.saturated is True
         # A modest reach at a large L: the binomial term alone passes 1e308.
         with pytest.raises(BoundOverflow, match="at L=2000"):
             fp_operation_bound(2000, 1000.0, 1.0)
+
+    @pytest.mark.parametrize("radius, scale", [(10**400, 1.0), (1.0, 10**400)],
+                             ids=["radius", "scale"])
+    def test_integer_argument_beyond_float_range(self, radius, scale):
+        with pytest.raises(BoundOverflow, match="at L=2 "):
+            fp_operation_bound(2, radius, scale)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):

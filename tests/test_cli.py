@@ -6,9 +6,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import sigforge.harness
 import sigforge.sigcore
 import sigforge.sphere
-from sigforge import CorrelationMatrix, SignatureSet, hadamard_set, load_set, save_set
+from sigforge import (CorrelationMatrix, EigenFailure, SignatureSet, hadamard_set, load_set,
+                      save_set)
 from sigforge.cli import main
 from sigforge.harness import ML_CAP_ENV
 
@@ -317,6 +319,45 @@ class TestRefusedAllocation:
         assert main(["compare", h16_file]) == 2
         refused = capsys.readouterr().out.strip().split("\n")[1]
         assert refused == h16_file + "," * 14 + "MemoryError"
+
+
+EXPORTED_ERRORS = [
+    value for value in map(sigforge.__dict__.get, sigforge.__all__)
+    if isinstance(value, type) and issubclass(value, BaseException)
+]
+
+
+class TestExportedErrorExitCodes:
+    """The exit code is read off the class: every exported ValueError exits 2
+    and every InternalConsistencyError 3, each with one line, no traceback."""
+
+    @pytest.fixture(params=EXPORTED_ERRORS, ids=lambda cls: cls.__name__)
+    def refusal(self, request, monkeypatch):
+        """The step analysis raises one exported class; True when it is a ValueError."""
+        cls = request.param
+        error = cls("boom", residual=1.0) if cls is EigenFailure else cls("boom")
+
+        def fail(_):
+            raise error
+
+        monkeypatch.setattr(sigforge.harness, "analyse_step", fail)
+        return issubclass(cls, ValueError)
+
+    def test_extend(self, refusal, h4_file, capsys):
+        assert main(["extend", h4_file]) == (2 if refusal else 3)
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: boom\n" if refusal else "internal consistency failure: boom\n")
+
+    def test_compare(self, refusal, h4_file, capsys):
+        assert main(["compare", h4_file]) == (2 if refusal else 3)
+        captured = capsys.readouterr()
+        if refusal:
+            assert captured.out.split("\n")[1:] == [h4_file + "," * 14 + "boom", ""]
+            assert captured.err == ""
+        else:
+            assert captured.out == ""
+            assert captured.err == "internal consistency failure: boom\n"
 
 
 class TestCompareCommand:

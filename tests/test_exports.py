@@ -16,7 +16,8 @@ MODULES = ["sigforge"] + [
 
 EXPORTED = [
     "__version__",
-    "Signature", "SignatureSet", "CorrelationMatrix", "SetFormatError", "tsc",
+    "Signature", "SignatureSet", "CorrelationMatrix", "SetFormatError",
+    "InternalConsistencyError", "tsc",
     "correlation_matrix", "quadratic_metric", "tsc_increment", "extend_set",
     "hadamard_set", "load_set", "save_set",
     "CholeskyFactor", "EigenPair", "SingularMatrix", "EigenFailure", "cholesky",
@@ -27,8 +28,7 @@ EXPORTED = [
     "certified_floor", "sphere_search", "ml_exhaustive", "local_descent_baseline",
     "analyse_step",
     "ExtensionRecord", "ChainReport", "CompareRow", "CompareEntry", "CompareReport",
-    "InternalConsistencyError", "extend_once", "upscale_chain", "compare_methods",
-    "one_shot_experiment", "emit_report",
+    "extend_once", "upscale_chain", "compare_methods", "one_shot_experiment", "emit_report",
 ]
 
 
@@ -58,3 +58,14 @@ def test_module_lists_name_each_export_once():
         for name in getattr(importlib.import_module(module), "__all__", ())
     ]
     assert sorted(listed) == sorted(EXPORTED[1:])
+
+
+@pytest.mark.parametrize(
+    "name", [name for name in sigforge.__all__ if isinstance(getattr(sigforge, name), type)
+             and issubclass(getattr(sigforge, name), BaseException)]
+)
+def test_exception_belongs_to_one_exit_code_family(name):
+    # ValueError exits 2 and InternalConsistencyError exits 3; the CLI reads
+    # the code off the class, so each exported exception sits in exactly one.
+    cls = getattr(sigforge, name)
+    assert issubclass(cls, ValueError) != issubclass(cls, sigforge.InternalConsistencyError)

@@ -1,14 +1,18 @@
 """Report bytes: the compare golden files, and CSV rows that agree cell by
 cell with their JSON objects."""
 
+import contextlib
 import csv
 import io
 import json
+import os
+import shutil
 from pathlib import Path
 
 import pytest
 
-from sigforge import emit_report, hadamard_set, one_shot_experiment, upscale_chain
+from sigforge import (CompareEntry, CompareReport, emit_report, hadamard_set, one_shot_experiment,
+                      upscale_chain)
 from sigforge.cli import main
 from sigforge.harness import METHODS, ML_CAP_ENV
 
@@ -37,6 +41,14 @@ class TestCompareGolden:
         assert main(["compare", *COMPARE_SETS]) == 2
         out = capsys.readouterr().out.encode("utf-8")
         assert out == (DATA / "reference_compare.csv").read_bytes()
+
+    def test_cli_writes_text_to_a_replaced_stdout(self, in_repo_root):
+        # An in-process caller may swap sys.stdout for a text buffer with no
+        # .buffer underneath.
+        captured = io.StringIO()
+        with contextlib.redirect_stdout(captured):
+            assert main(["compare", *COMPARE_SETS]) == 2
+        assert captured.getvalue().encode("utf-8") == (DATA / "reference_compare.csv").read_bytes()
 
     def test_json_matches_golden_file(self, in_repo_root):
         out = emit_report(one_shot_experiment(COMPARE_SETS), "json")
@@ -105,3 +117,29 @@ class TestCsvMatchesJson:
             header, *rows = csv.reader(handle)
         entries = json.loads((DATA / "reference_compare.json").read_text())["entries"]
         assert_cells_match(header, rows, entries, COMPARE_NESTED)
+
+
+class TestUndecodablePath:
+    """A file-name byte that is not UTF-8, such as 0xff, reaches Python as a
+    lone surrogate, U+DCFF; both formats spell it as the text \\udcff."""
+
+    def test_csv_spells_it_as_json_does(self):
+        path = os.fsdecode(b"bad\xff.txt")
+        report = CompareReport(entries=(CompareEntry(path=path, error=f"{path}: empty file"),))
+        (row,) = list(csv.reader(io.StringIO(emit_report(report, "csv").decode("utf-8"))))[1:]
+        doc = emit_report(report, "json")
+        assert row[0] == r"bad\udcff.txt" and row[-1] == r"bad\udcff.txt: empty file"
+        assert b'"path": "bad\\udcff.txt"' in doc
+        assert json.loads(doc)["entries"][0]["path"] == path
+
+    def test_cli_keeps_the_batch(self, tmp_path, monkeypatch, capsysbinary):
+        monkeypatch.chdir(tmp_path)
+        try:
+            shutil.copyfile(DATA / "compare_h4.txt", b"bad\xff.txt")
+        except OSError:
+            pytest.skip("the file system refuses a file name that is not UTF-8")
+        shutil.copyfile(DATA / "compare_h4.txt", "ok.txt")
+        assert main(["compare", os.fsdecode(b"bad\xff.txt"), "ok.txt"]) == 0
+        header, bad, ok = capsysbinary.readouterr().out.decode("utf-8").strip().split("\n")
+        assert bad.startswith("bad\\udcff.txt,5,4,") and ok.startswith("ok.txt,5,4,")
+        assert bad.split(",", 1)[1] == ok.split(",", 1)[1]

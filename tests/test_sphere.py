@@ -110,6 +110,18 @@ class TestSphereSearch:
         result = sphere_search(correlation_matrix(hadamard_set(4)), radius)
         assert result.candidates_enumerated == 8
 
+    @pytest.mark.parametrize(
+        "lambda_min, expected", [(None, (16, 22, 8)), (0.0, (16, 15, 1)), (4.0, (16, 4, 1))]
+    )
+    def test_radius_at_or_beyond_the_abs_sum(self, lambda_min, expected):
+        # No metric exceeds sum |R_ij| = 16, so every larger radius, an integer
+        # beyond the float range too, walks the same ball in both walks.
+        m = correlation_matrix(hadamard_set(4))
+        for radius in (16, 1e308, math.inf, 10**400):
+            result = sphere_search(m, radius, lambda_min=lambda_min)
+            assert (result.best_metric, result.nodes_visited,
+                    result.candidates_enumerated) == expected
+
     def test_rejects_negative_radius(self):
         m = correlation_matrix(hadamard_set(2))
         with pytest.raises(ValueError):
