@@ -76,44 +76,57 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _out(text: str, end: str = "\n") -> None:
+    """Write to stdout in UTF-8 whatever its own encoding, so a file name
+    never fails a finished run: a character UTF-8 cannot hold (an
+    undecodable byte of a name) is backslash-escaped. A stdout with no byte
+    layer underneath, such as an io.StringIO, gets the text itself."""
+    buffer = getattr(sys.stdout, "buffer", None)
+    if buffer is None:
+        sys.stdout.write(text + end)
+        return
+    sys.stdout.flush()
+    buffer.write((text + end).encode("utf-8", errors="backslashreplace"))
+
+
 def _cmd_tsc(args) -> int:
     loaded = load_set(args.set_file)
-    print(f"k {loaded.k}")
-    print(f"length {loaded.length}")
-    print(f"tsc {tsc(loaded)}")
-    print(f"welch {welch_bound(loaded.k, loaded.length).value}")
+    _out(f"k {loaded.k}")
+    _out(f"length {loaded.length}")
+    _out(f"tsc {tsc(loaded)}")
+    _out(f"welch {welch_bound(loaded.k, loaded.length).value}")
     return 0
 
 
 def _cmd_bound(args) -> int:
     table = load_bound_table(args.table) if args.table else None
-    print(f"welch {welch_bound(args.k, args.length).value}")
+    _out(f"welch {welch_bound(args.k, args.length).value}")
     if args.k < args.length:
-        print("binary n/a (requires K >= L)")
+        _out("binary n/a (requires K >= L)")
     else:
         bound = binary_tsc_bound(args.k, args.length, table)
-        print(f"binary {bound.value} ({bound.kind})")
+        _out(f"binary {bound.value} ({bound.kind})")
     return 0
 
 
 def _print_record(record) -> None:
-    print(f"method {_METHOD_LABELS[record.method]}")
-    print(f"k_before {record.k_before}")
-    print(f"k_after {record.k_after}")
-    print(f"length {record.length}")
-    print(f"metric {record.metric}")
-    print(f"tsc_before {record.tsc_before}")
-    print(f"tsc_after {record.tsc_after}")
-    print(f"radius_c {record.radius_c!r}")
-    print(f"lambda_min {record.lambda_min!r}")
-    print(f"nodes_visited {record.nodes_visited}")
-    print(f"candidates_enumerated {record.candidates_enumerated}")
-    print(f"fp_bound {'n/a' if record.fp_bound is None else repr(record.fp_bound)}")
-    print(f"jitter_applied {'true' if record.jitter_applied else 'false'}")
-    print(f"welch_after {record.welch_after.value}")
-    print(f"binary_bound_after {record.binary_bound_after.value} "
-          f"({record.binary_bound_after.kind})")
-    print(f"audit {'skipped' if record.audit_agreement is None else 'pass'}")
+    _out(f"method {_METHOD_LABELS[record.method]}")
+    _out(f"k_before {record.k_before}")
+    _out(f"k_after {record.k_after}")
+    _out(f"length {record.length}")
+    _out(f"metric {record.metric}")
+    _out(f"tsc_before {record.tsc_before}")
+    _out(f"tsc_after {record.tsc_after}")
+    _out(f"radius_c {record.radius_c!r}")
+    _out(f"lambda_min {record.lambda_min!r}")
+    _out(f"nodes_visited {record.nodes_visited}")
+    _out(f"candidates_enumerated {record.candidates_enumerated}")
+    _out(f"fp_bound {'n/a' if record.fp_bound is None else repr(record.fp_bound)}")
+    _out(f"jitter_applied {'true' if record.jitter_applied else 'false'}")
+    _out(f"welch_after {record.welch_after.value}")
+    _out(f"binary_bound_after {record.binary_bound_after.value} "
+         f"({record.binary_bound_after.kind})")
+    _out(f"audit {'skipped' if record.audit_agreement is None else 'pass'}")
 
 
 def _cmd_extend(args) -> int:
@@ -122,7 +135,7 @@ def _cmd_extend(args) -> int:
     _print_record(record)
     if args.save_set:
         save_set(extended, args.save_set)
-        print(f"saved {args.save_set}")
+        _out(f"saved {args.save_set}")
     return 0
 
 
@@ -142,20 +155,20 @@ def _cmd_chain(args) -> int:
     report = upscale_chain(start, args.target, args.method, audit=args.audit)
     for step, record in enumerate(report.records, start=1):
         audit = "skipped" if record.audit_agreement is None else "pass"
-        print(f"step {step}  k_after {record.k_after}  metric {record.metric}  "
-              f"tsc_after {record.tsc_after}  audit {audit}")
+        _out(f"step {step}  k_after {record.k_after}  metric {record.metric}  "
+             f"tsc_after {record.tsc_after}  audit {audit}")
     final = report.final_set
-    print(f"final k {final.k}")
-    print(f"final tsc {report.records[-1].tsc_after}")
+    _out(f"final k {final.k}")
+    _out(f"final tsc {report.records[-1].tsc_after}")
     if args.save_set:
         save_set(final, args.save_set)
-        print(f"saved {args.save_set}")
+        _out(f"saved {args.save_set}")
     return 0
 
 
 def _cmd_compare(args) -> int:
     report = one_shot_experiment(args.set_files)
-    sys.stdout.write(emit_report(report, "csv").decode("utf-8"))
+    _out(emit_report(report, "csv").decode("utf-8"), end="")
     failed = sum(1 for entry in report.entries if entry.error is not None)
     return 2 if failed else 0
 
@@ -166,7 +179,7 @@ def _cmd_report(args) -> int:
     payload = emit_report(report, args.fmt)
     with open(args.out, "wb") as handle:
         handle.write(payload)
-    print(f"wrote {args.out}")
+    _out(f"wrote {args.out}")
     return 0
 
 

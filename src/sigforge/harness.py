@@ -18,13 +18,11 @@ from __future__ import annotations
 
 import io
 import json
-import os
 
 from .bounds import BoundValue, binary_tsc_bound, welch_bound
-from .sigcore import (InternalConsistencyError, Record, SignatureSet, _integer, _parse_integer,
-                      extend_set, load_set, tsc, tsc_increment)
+from .sigcore import (InternalConsistencyError, Record, SignatureSet, _integer, extend_set,
+                      load_set, tsc, tsc_increment)
 from .sphere import (
-    DEFAULT_ML_CAP,
     SearchResult,
     StepAnalysis,
     analyse_step,
@@ -54,7 +52,6 @@ _METHOD_LABELS = {
 }
 
 AUDIT_AUTO_MAX_L = 16
-ML_CAP_ENV = "SIGFORGE_ML_CAP"
 REPORT_SCHEMA = "sigforge.report/1"
 # Bad input or a limit hit: every refusal sigforge raises is a ValueError, and a
 # file may be unreadable or the set's size need memory it cannot get. The CLI
@@ -64,21 +61,6 @@ INPUT_ERRORS = (ValueError, OSError, MemoryError)
 
 def _error_text(exc: BaseException) -> str:
     return str(exc) or type(exc).__name__  # a failed allocation has no message
-
-
-def resolve_ml_cap() -> int:
-    """Exhaustive-scan cap: the SIGFORGE_ML_CAP environment variable, else
-    the built-in default."""
-    raw = os.environ.get(ML_CAP_ENV)
-    if raw is None:
-        return DEFAULT_ML_CAP
-    try:
-        cap = _parse_integer(raw)
-    except ValueError:
-        raise ValueError(f"{ML_CAP_ENV} must be an integer, got {raw!r}") from None
-    if cap < 1:
-        raise ValueError(f"exhaustive cap must be positive, got {cap}")
-    return cap
 
 
 class ExtensionRecord(Record):
@@ -199,13 +181,13 @@ def _bound_after(k_after: int, length: int) -> BoundValue:
     return welch_bound(k_after, length)
 
 
-def _solve(step: StepAnalysis, method: str, cap: int) -> SearchResult:
+def _solve(step: StepAnalysis, method: str) -> SearchResult:
     """The search that answers ``method`` on one analysed step; "quant" is
     the quantized eigenvector itself, a one-node result."""
     if method == "sd":
         return step.first_optimum()
     if method == "ml":
-        return ml_exhaustive(step.matrix, cap)
+        return ml_exhaustive(step.matrix)
     if method == "descent":
         return local_descent_baseline(step.matrix, step.quantized)
     return SearchResult(
@@ -217,14 +199,15 @@ def _solve(step: StepAnalysis, method: str, cap: int) -> SearchResult:
     )
 
 
-def _step(signature_set: SignatureSet, method: str, names, cap: int) -> tuple[StepAnalysis, dict]:
+def _step(signature_set: SignatureSet, method: str, names) -> tuple[StepAnalysis, dict]:
     """Analyse a step once and solve it by each method in ``names``, the scan
-    first, so a set above the cap fails before any walk runs. When "sd" and
+    first, so a set above the scan's fixed cap (sphere.ML_CAP, L = 24) fails
+    before any walk runs. When "sd" and
     "ml" both ran they must reach the same metric; anything else is an
     InternalConsistencyError naming K, L and ``method``, the method run."""
     step = analyse_step(signature_set)
     order = ("ml", "sd", "descent", "quant")
-    solved = {name: _solve(step, name, cap) for name in order if name in names}
+    solved = {name: _solve(step, name) for name in order if name in names}
     sd, ml = solved.get("sd"), solved.get("ml")
     if sd is not None and ml is not None and sd.best_metric != ml.best_metric:
         raise InternalConsistencyError(
@@ -247,18 +230,17 @@ def extend_once(
     The radius, minimum eigenvalue, operation bound, and jitter flag are
     properties of the set's autocorrelation matrix, reported for every method.
 
-    ``audit`` None means automatic: on for L <= 16 when the exhaustive scan
-    fits the cap, off otherwise. When auditing, the sphere and the scan
-    must return the same metric; anything else raises
-    InternalConsistencyError.
+    ``audit`` None means automatic: on for L <= 16, off otherwise. ``audit``
+    True above the scan's cap of L = 24 raises CapExceeded. When auditing,
+    the sphere and the scan must return the same metric; anything else
+    raises InternalConsistencyError.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    cap = resolve_ml_cap()
     length = signature_set.length
     if audit is None:
-        audit = length <= AUDIT_AUTO_MAX_L and length <= cap
-    step, solved = _step(signature_set, method, {method, "ml", "sd"} if audit else {method}, cap)
+        audit = length <= AUDIT_AUTO_MAX_L
+    step, solved = _step(signature_set, method, {method, "ml", "sd"} if audit else {method})
     result = solved[method]
 
     extended = extend_set(signature_set, result.best)
@@ -305,9 +287,8 @@ def compare_methods(signature_set: SignatureSet) -> CompareRow:
     The sphere and exhaustive metrics must agree; the quantized and descent
     baselines may only be worse.
     """
-    cap = resolve_ml_cap()
     length = signature_set.length
-    _, solved = _step(signature_set, "sd", METHODS, cap)
+    _, solved = _step(signature_set, "sd", METHODS)
     tsc_before = tsc(signature_set)
     after = {
         name: tsc_increment(tsc_before, result.best_metric, length)
@@ -327,9 +308,9 @@ def compare_methods(signature_set: SignatureSet) -> CompareRow:
 def one_shot_experiment(set_paths) -> CompareReport:
     """Batch comparison over set files, with TSC-minus-bound gap columns.
 
-    Per-file load and validation errors, a set above the exhaustive cap and
-    memory a set cannot get (INPUT_ERRORS) land in that file's entry; the
-    rest of the batch still runs.
+    Per-file load and validation errors, a set above the exhaustive cap of
+    L = 24 and memory a set cannot get (INPUT_ERRORS) land in that file's
+    entry; the rest of the batch still runs.
     Consistency failures are not per-file errors and propagate.
     """
     entries = []

@@ -41,7 +41,6 @@ from .sigcore import (
     Record,
     Signature,
     SignatureSet,
-    _integer,
     correlation_matrix,
     quadratic_metric,
 )
@@ -59,7 +58,8 @@ __all__ = [
     "analyse_step",
 ]
 
-DEFAULT_ML_CAP = 24
+# Largest L the exhaustive scan takes: 2^23 points, 8.4 ms on one thread (README).
+ML_CAP = 24
 # Float64 entries per block of the exhaustive scan (256 KB), so a block stays
 # in a core's L2 cache: 2^15 beat 2^14, 2^16 and 2^18 at L = 16 to 24 on one
 # OpenBLAS thread (README).
@@ -370,7 +370,7 @@ def _lex_signs(bits: int) -> np.ndarray:
     return 1.0 - 2.0 * ((idx >> shifts) & 1)
 
 
-def ml_exhaustive(matrix: CorrelationMatrix, cap: int = DEFAULT_ML_CAP) -> SearchResult:
+def ml_exhaustive(matrix: CorrelationMatrix) -> SearchResult:
     """Scan all 2^(L-1) sign vectors with s_L = +1 and return the minimum.
 
     Meet in the middle (Horowitz & Sahni 1974): s = (a, b) with head
@@ -380,14 +380,14 @@ def ml_exhaustive(matrix: CorrelationMatrix, cap: int = DEFAULT_ML_CAP) -> Searc
     head rows costs one float64 matrix product and nothing is added after it.
     Every partial sum, in the tables and the blocks and in any order, is an
     integer of magnitude at most sum |R_ij|, so the floats are exact while
-    that sum is below 2^53; beyond it, as for L above ``cap``, the scan raises
+    that sum is below 2^53; beyond it, as for L above ``ML_CAP``, the scan raises
     CapExceeded. The flat index head * 2^(t-1) + tail is lexicographic, so the
     first minimum is the sphere search's tie-break winner. It is re-scored in
     integers; disagreeing with the float minimum is an InternalConsistencyError.
     """
     dim = matrix.dim
-    if dim > _integer(cap):
-        raise CapExceeded(f"L={dim} exceeds the exhaustive-search cap of {cap}")
+    if dim > ML_CAP:
+        raise CapExceeded(f"L={dim} exceeds the exhaustive-search cap of {ML_CAP}")
     if matrix.abs_sum >= EXACT_SCAN_LIMIT:
         raise CapExceeded(
             f"L={dim}: sum |R_ij| = {matrix.abs_sum} is not below {EXACT_SCAN_LIMIT}, "

@@ -43,8 +43,8 @@ def wrong_scan(monkeypatch):
     than the true minimum."""
     scan = sigforge.harness.ml_exhaustive
 
-    def off_by_one(matrix, cap):
-        result = scan(matrix, cap)
+    def off_by_one(matrix):
+        result = scan(matrix)
         fields = {name: getattr(result, name) for name in result.__slots__}
         return type(result)(**dict(fields, best_metric=result.best_metric + 1))
 

@@ -1,6 +1,10 @@
 """Exit codes, output shapes, and determinism of the command-line surface."""
 
 import json
+import os
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -12,9 +16,9 @@ import sigforge.sphere
 from sigforge import (CorrelationMatrix, EigenFailure, SignatureSet, hadamard_set, load_set,
                       save_set)
 from sigforge.cli import main
-from sigforge.harness import ML_CAP_ENV
 
 DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture
@@ -218,14 +222,6 @@ class TestChainCommand:
     def test_target_below_start(self, h4_file, capsys):
         assert main(["chain", h4_file, "--to", "3"]) == 2
 
-    def test_cap_env_blocks_forced_audit(self, h4_file, capsys, monkeypatch):
-        monkeypatch.setenv(ML_CAP_ENV, "3")
-        assert main(["chain", h4_file, "--to", "6", "--audit"]) == 2
-
-    def test_garbage_cap_env(self, h4_file, capsys, monkeypatch):
-        monkeypatch.setenv(ML_CAP_ENV, "lots")
-        assert main(["chain", h4_file, "--to", "6", "--audit"]) == 2
-
 
 class TestExhaustiveScanLimits:
     """The scan's float64 range surfaces through the CLI exit codes."""
@@ -389,12 +385,6 @@ class TestCompareCommand:
         assert last == first
         assert capped.startswith(big + ",,") and "cap of 24" in capped
 
-    def test_cap_env_lands_in_error_column(self, h4_file, capsys, monkeypatch):
-        monkeypatch.setenv(ML_CAP_ENV, "3")
-        assert main(["compare", h4_file]) == 2
-        (row,) = capsys.readouterr().out.strip().split("\n")[1:]
-        assert row.startswith(h4_file + ",,") and "cap of 3" in row
-
 
 class TestReportCommand:
     def test_csv_deterministic(self, tmp_path, capsys):
@@ -464,3 +454,46 @@ class TestReportCommand:
     def test_format_required(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["report", "--out", str(tmp_path / "x.csv")])
+
+
+class TestStdoutEncoding:
+    """A finished run exits 0 whatever stdout's encoding: the CLI writes
+    UTF-8 bytes, a character UTF-8 cannot hold backslash-escaped, so a file
+    name that an ASCII or a strict UTF-8 stdout cannot encode still prints."""
+
+    @staticmethod
+    def sigforge(cwd, encoding, *args):
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path, PYTHONIOENCODING=encoding)
+        return subprocess.run([sys.executable, "-m", "sigforge.cli", *args], cwd=cwd, env=env,
+                              capture_output=True, timeout=120)
+
+    NOT_UTF8 = os.fsdecode(b"bad\xff")
+
+    @pytest.mark.parametrize(
+        "encoding, stem",
+        [("ascii", "\u00e9"), ("ascii", NOT_UTF8), ("utf-8", NOT_UTF8)],
+        ids=["e_acute-ascii", "not_utf8-ascii", "not_utf8-utf8"],
+    )
+    def test_file_names_print(self, tmp_path, encoding, stem):
+        try:
+            shutil.copyfile(DATA / "compare_h4.txt", tmp_path / f"{stem}.txt")
+        except (OSError, UnicodeError):
+            pytest.skip(f"the file system refuses the name {stem!r}")
+        spelled = stem.encode("utf-8", errors="backslashreplace")
+
+        done = self.sigforge(tmp_path, encoding, "compare", f"{stem}.txt")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[1].startswith(spelled + b".txt,5,4,")
+
+        done = self.sigforge(tmp_path, encoding, "report", "--hadamard", "4", "--to", "6",
+                             "--format", "csv", "--out", f"{stem}.csv")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == b"wrote " + spelled + b".csv\n"
+        assert (tmp_path / f"{stem}.csv").read_bytes().startswith(b"step,")
+
+        done = self.sigforge(tmp_path, encoding, "extend", f"{stem}.txt", "--save-set",
+                             f"{stem}2.txt")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.endswith(b"\nsaved " + spelled + b"2.txt\n")
+        assert load_set(tmp_path / f"{stem}2.txt").k == 5

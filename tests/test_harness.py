@@ -14,46 +14,23 @@ from sigforge import (
     InternalConsistencyError,
     SignatureSet,
     compare_methods,
+    correlation_matrix,
     emit_report,
     extend_once,
     hadamard_set,
+    ml_exhaustive,
     one_shot_experiment,
     save_set,
     tsc,
     upscale_chain,
     welch_bound,
 )
-from sigforge.harness import AUDIT_AUTO_MAX_L, ML_CAP_ENV, resolve_ml_cap
-from sigforge.sphere import DEFAULT_ML_CAP
+from sigforge.harness import AUDIT_AUTO_MAX_L
+from sigforge.sphere import ML_CAP
 
 
 def random_set(rng, k, length):
     return SignatureSet.from_rows(rng.choice([-1, 1], size=(k, length)).tolist())
-
-
-class TestMlCap:
-    def test_default(self, monkeypatch):
-        monkeypatch.delenv(ML_CAP_ENV, raising=False)
-        assert resolve_ml_cap() == DEFAULT_ML_CAP
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(ML_CAP_ENV, "10")
-        assert resolve_ml_cap() == 10
-
-    @pytest.mark.parametrize(
-        "raw",
-        ["many", "2_4", "\u0662\u0664", " 24 "],
-        ids=["word", "underscore", "arabic_indic", "surrounding_spaces"],
-    )
-    def test_garbage_env_rejected(self, monkeypatch, raw):
-        monkeypatch.setenv(ML_CAP_ENV, raw)
-        with pytest.raises(ValueError, match="must be an integer"):
-            resolve_ml_cap()
-
-    def test_nonpositive_rejected(self, monkeypatch):
-        monkeypatch.setenv(ML_CAP_ENV, "0")
-        with pytest.raises(ValueError):
-            resolve_ml_cap()
 
 
 class TestExtendOnce:
@@ -90,17 +67,9 @@ class TestExtendOnce:
         with pytest.raises(ValueError):
             extend_once(hadamard_set(4), "magic")
 
-    def test_audit_auto_off_when_cap_blocks_scan(self, monkeypatch):
-        monkeypatch.setenv(ML_CAP_ENV, "4")
-        rng = np.random.default_rng(63)
-        s = random_set(rng, 8, 8)
-        _, _, agreement = extend_once(s, "sd")
-        assert agreement is None
-
-    def test_forced_audit_beyond_cap_fails_loudly(self, monkeypatch):
-        monkeypatch.setenv(ML_CAP_ENV, "4")
+    def test_forced_audit_beyond_cap_fails_loudly(self):
         rng = np.random.default_rng(64)
-        s = random_set(rng, 8, 8)
+        s = random_set(rng, 30, 25)
         with pytest.raises(CapExceeded):
             extend_once(s, "sd", audit=True)
 
@@ -221,10 +190,9 @@ class TestCompareMethods:
             assert row.tsc_descent >= row.tsc_sd
             assert row.tsc_quant >= row.tsc_descent
 
-    def test_cap_precondition(self, monkeypatch):
-        monkeypatch.setenv(ML_CAP_ENV, "4")
+    def test_cap_precondition(self):
         rng = np.random.default_rng(68)
-        s = random_set(rng, 8, 8)
+        s = random_set(rng, 30, 25)
         with pytest.raises(CapExceeded):
             compare_methods(s)
 
@@ -264,8 +232,7 @@ class TestOneShot:
             assert entry[f"gap_{method}"] == entry[f"tsc_{method}"] - 100
         assert entry["gap_sd"] == 12
 
-    def test_set_above_cap_is_a_per_file_error(self, tmp_path, monkeypatch):
-        monkeypatch.delenv(ML_CAP_ENV, raising=False)
+    def test_set_above_cap_is_a_per_file_error(self, tmp_path):
         rng = np.random.default_rng(69)
         ok, big = tmp_path / "ok8.txt", tmp_path / "big25.txt"
         save_set(random_set(rng, 10, 8), ok)
@@ -275,9 +242,6 @@ class TestOneShot:
         assert last.row == first.row
         assert capped.row is None
         assert "cap of 24" in capped.error
-        monkeypatch.setenv(ML_CAP_ENV, "6")
-        (lowered,) = one_shot_experiment([ok]).entries
-        assert lowered.row is None and "cap of 6" in lowered.error
 
 
 class TestEmitReport:
@@ -343,6 +307,29 @@ class TestAuditEndToEnd:
     def test_audit_off_when_requested(self):
         report = upscale_chain(hadamard_set(8), 10, audit=False)
         assert all(flag is None for flag in report.audit)
+
+
+class TestCapAndAuditBoundaries:
+    """The automatic audit ends at L = 16 and the scan at the fixed cap of
+    L = 24; no argument or environment variable moves either."""
+
+    def test_automatic_audit_ends_at_l16(self):
+        rng = np.random.default_rng(71)
+        for length, expected in ((AUDIT_AUTO_MAX_L, True), (AUDIT_AUTO_MAX_L + 1, None)):
+            _, _, agreement = extend_once(random_set(rng, length + 4, length), "sd")
+            assert agreement is expected
+
+    def test_forced_audit_ends_at_the_cap(self):
+        assert ML_CAP == 24
+        rng = np.random.default_rng(72)
+        _, _, agreement = extend_once(random_set(rng, 36, ML_CAP), "sd", audit=True)
+        assert agreement is True
+        with pytest.raises(CapExceeded, match="L=25 exceeds the exhaustive-search cap of 24"):
+            extend_once(random_set(rng, 36, ML_CAP + 1), "sd", audit=True)
+
+    def test_scan_takes_no_cap(self):
+        with pytest.raises(TypeError):
+            ml_exhaustive(correlation_matrix(hadamard_set(4)), cap=ML_CAP)
 
 
 class TestAuditMismatch:

@@ -14,7 +14,7 @@ import pytest
 from sigforge import (CompareEntry, CompareReport, emit_report, hadamard_set, one_shot_experiment,
                       upscale_chain)
 from sigforge.cli import main
-from sigforge.harness import METHODS, ML_CAP_ENV
+from sigforge.harness import METHODS
 
 ROOT = Path(__file__).parent.parent
 DATA = Path(__file__).parent / "data"
@@ -31,9 +31,25 @@ COMPARE_SETS = [
 
 @pytest.fixture
 def in_repo_root(monkeypatch):
-    """Paths relative to the repository root, the default exhaustive cap."""
-    monkeypatch.delenv(ML_CAP_ENV, raising=False)
+    """Paths relative to the repository root."""
     monkeypatch.chdir(ROOT)
+
+
+class TestNoEnvironmentSetting:
+    """No environment variable changes a report. SIGFORGE_ML_CAP once set the
+    scan's cap; at 3 it turned every audit cell of the reference report null."""
+
+    def test_reference_report(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("SIGFORGE_ML_CAP", "3")
+        out = tmp_path / "report.json"
+        assert main(["report", "--format", "json", "--out", str(out)]) == 0
+        assert out.read_bytes() == (DATA / "reference_report.json").read_bytes()
+
+    def test_compare_batch(self, in_repo_root, monkeypatch, capsys):
+        monkeypatch.setenv("SIGFORGE_ML_CAP", "3")
+        assert main(["compare", *COMPARE_SETS]) == 2
+        out = capsys.readouterr().out.encode("utf-8")
+        assert out == (DATA / "reference_compare.csv").read_bytes()
 
 
 class TestCompareGolden:

@@ -21,7 +21,6 @@ from sigforge import (
     fp_operation_bound,
     hadamard_set,
     load_set,
-    ml_exhaustive,
     quadratic_metric,
     save_set,
     tsc,
@@ -73,7 +72,6 @@ INTEGER_ARGUMENTS = {
     "tsc_increment": (1, lambda n: tsc_increment(0, n, 2)),
     "hadamard_set": (4, hadamard_set),
     "upscale_chain": (6, lambda n: upscale_chain(hadamard_set(4), n).final_set),
-    "ml_exhaustive": (4, lambda n: ml_exhaustive(correlation_matrix(hadamard_set(4)), n).best),
 }
 
 

@@ -208,9 +208,9 @@ class TestMlExhaustive:
         assert ml_exhaustive(correlation_matrix(hadamard_set(4))).best_metric == 16
 
     def test_cap_enforced(self):
-        m = correlation_matrix(hadamard_set(8))
-        with pytest.raises(CapExceeded):
-            ml_exhaustive(m, cap=7)
+        m = CorrelationMatrix(np.eye(25, dtype=np.int64))
+        with pytest.raises(CapExceeded, match="L=25 exceeds the exhaustive-search cap of 24"):
+            ml_exhaustive(m)
 
     def test_scan_covers_half_space(self):
         m = correlation_matrix(hadamard_set(8))
@@ -515,7 +515,7 @@ class TestMeetInTheMiddleScan:
         # One scan at the L = 24 cap: 2^23 points.
         rng = np.random.default_rng(24)
         step = analyse_step(SignatureSet.from_rows(rng.choice([-1, 1], size=(36, 24)).tolist()))
-        scan = ml_exhaustive(step.matrix, cap=24)
+        scan = ml_exhaustive(step.matrix)
         walk = step.first_optimum()
         assert scan.candidates_enumerated == scan.nodes_visited == 1 << 23
         assert (scan.best, scan.best_metric) == (walk.best, walk.best_metric)
