@@ -176,7 +176,7 @@ def binary_tsc_bound(k: int, length: int, table: BoundTable | None = None) -> Bo
     k, length = _check_dims(k, length)
     if k < length:
         raise Underloaded(f"binary bound needs K >= L, got K={k} < L={length}")
-    welch = k * length * max(k, length)
+    welch = welch_bound(k, length).value
     case = table.case_for(k, length) if table is not None else None
     if case is None:
         return BoundValue(value=welch, kind="binary_fallback_welch")

@@ -34,42 +34,44 @@ def _build_parser() -> argparse.ArgumentParser:
         "guaranteed-minimal total squared correlation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--method", choices=METHODS, default="sd")
+    run.add_argument("--audit", action="store_true",
+                     help="force the sphere-vs-exhaustive equality check")
+    start = argparse.ArgumentParser(add_help=False, parents=[run])
+    start.add_argument("set_file", nargs="?", help="initial set file")
+    start.add_argument("--hadamard", type=_parse_integer, metavar="L",
+                       help="start from the L x L Hadamard set instead of a file")
 
     p = sub.add_parser("tsc", help="total squared correlation of a set file")
+    p.set_defaults(handler=_cmd_tsc)
     p.add_argument("set_file")
 
     p = sub.add_parser("bound", help="TSC lower bounds for given K and L")
+    p.set_defaults(handler=_cmd_bound)
     p.add_argument("--k", type=_parse_integer, required=True, help="number of signatures")
     p.add_argument("--l", dest="length", type=_parse_integer, required=True,
                    help="signature length")
     p.add_argument("--table", help="JSON case table for the binary bound")
 
-    p = sub.add_parser("extend", help="add one signature to a set")
+    p = sub.add_parser("extend", parents=[run], help="add one signature to a set")
+    p.set_defaults(handler=_cmd_extend)
     p.add_argument("set_file")
-    p.add_argument("--method", choices=METHODS, default="sd")
-    p.add_argument("--audit", action="store_true", default=None,
-                   help="force the sphere-vs-exhaustive equality check")
     p.add_argument("--save-set", metavar="PATH", help="write the extended set here")
 
-    p = sub.add_parser("chain", help="extend one-by-one up to a target K")
-    p.add_argument("set_file", nargs="?", help="initial set file")
-    p.add_argument("--hadamard", type=_parse_integer, metavar="L",
-                   help="start from the L x L Hadamard set instead of a file")
+    p = sub.add_parser("chain", parents=[start], help="extend one-by-one up to a target K")
+    p.set_defaults(handler=_cmd_chain)
     p.add_argument("--to", dest="target", type=_parse_integer, required=True, metavar="K")
-    p.add_argument("--method", choices=METHODS, default="sd")
-    p.add_argument("--audit", action="store_true", default=None)
     p.add_argument("--save-set", metavar="PATH", help="write the final set here")
 
     p = sub.add_parser("compare", help="run all methods on each set file")
+    p.set_defaults(handler=_cmd_compare)
     p.add_argument("set_files", nargs="*")
 
-    p = sub.add_parser("report", help="run a chain and write a report file")
-    p.add_argument("set_file", nargs="?", help="initial set file")
-    p.add_argument("--hadamard", type=_parse_integer, metavar="L",
-                   help="Hadamard start (default 16 when no file is given)")
+    p = sub.add_parser("report", parents=[start], help="run a chain and write a report "
+                       "file (default start: the 16 x 16 Hadamard set)")
+    p.set_defaults(handler=_cmd_report)
     p.add_argument("--to", dest="target", type=_parse_integer, default=32, metavar="K")
-    p.add_argument("--method", choices=METHODS, default="sd")
-    p.add_argument("--audit", action="store_true", default=None)
     p.add_argument("--format", dest="fmt", choices=("json", "csv"), required=True)
     p.add_argument("--out", required=True, metavar="PATH")
 
@@ -139,20 +141,23 @@ def _cmd_extend(args) -> int:
     return 0
 
 
-def _resolve_start(args, default_hadamard: int | None):
+def _run_chain(args, default_hadamard: int | None):
+    """The chain from the set file or the --hadamard start (``default_hadamard``
+    when neither is given) to --to, run with --method and --audit."""
     if args.set_file is not None and args.hadamard is not None:
         raise ValueError("give either a set file or --hadamard, not both")
     if args.set_file is not None:
-        return load_set(args.set_file)
-    length = args.hadamard if args.hadamard is not None else default_hadamard
-    if length is None:
-        raise ValueError("give a set file or --hadamard L")
-    return hadamard_set(length)
+        start = load_set(args.set_file)
+    else:
+        length = args.hadamard if args.hadamard is not None else default_hadamard
+        if length is None:
+            raise ValueError("give a set file or --hadamard L")
+        start = hadamard_set(length)
+    return upscale_chain(start, args.target, args.method, audit=args.audit)
 
 
 def _cmd_chain(args) -> int:
-    start = _resolve_start(args, default_hadamard=None)
-    report = upscale_chain(start, args.target, args.method, audit=args.audit)
+    report = _run_chain(args, default_hadamard=None)
     for step, record in enumerate(report.records, start=1):
         audit = "skipped" if record.audit_agreement is None else "pass"
         _out(f"step {step}  k_after {record.k_after}  metric {record.metric}  "
@@ -174,8 +179,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    start = _resolve_start(args, default_hadamard=16)
-    report = upscale_chain(start, args.target, args.method, audit=args.audit)
+    report = _run_chain(args, default_hadamard=16)
     payload = emit_report(report, args.fmt)
     with open(args.out, "wb") as handle:
         handle.write(payload)
@@ -183,20 +187,10 @@ def _cmd_report(args) -> int:
     return 0
 
 
-_HANDLERS = {
-    "tsc": _cmd_tsc,
-    "bound": _cmd_bound,
-    "extend": _cmd_extend,
-    "chain": _cmd_chain,
-    "compare": _cmd_compare,
-    "report": _cmd_report,
-}
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        return args.handler(args)
     except INPUT_ERRORS as exc:
         print(f"error: {_error_text(exc)}", file=sys.stderr)
         return 2

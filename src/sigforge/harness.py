@@ -10,8 +10,8 @@ any published heuristic).
 
 Audit mode runs the sphere search and the exhaustive scan side by side and
 demands identical metrics; a mismatch is an internal-consistency failure,
-never a tolerable discrepancy. Audit defaults on for L <= 16, where the
-scan costs nothing.
+never a tolerable discrepancy. It is always on for L <= 16, where the scan
+costs nothing; the ``audit`` argument can only force it on above that.
 """
 
 from __future__ import annotations
@@ -44,12 +44,7 @@ __all__ = [
 ]
 
 METHODS = ("sd", "ml", "quant", "descent")
-_METHOD_LABELS = {
-    "sd": "sd",
-    "ml": "ml",
-    "quant": "quant",
-    "descent": "descent(stand-in)",
-}
+_METHOD_LABELS = dict(zip(METHODS, METHODS), descent="descent(stand-in)")
 
 AUDIT_AUTO_MAX_L = 16
 REPORT_SCHEMA = "sigforge.report/1"
@@ -222,7 +217,7 @@ def extend_once(
     signature_set: SignatureSet,
     method: str = "sd",
     *,
-    audit: bool | None = None,
+    audit: bool = False,
 ):
     """Extend a set by one signature with the chosen method.
 
@@ -230,16 +225,15 @@ def extend_once(
     The radius, minimum eigenvalue, operation bound, and jitter flag are
     properties of the set's autocorrelation matrix, reported for every method.
 
-    ``audit`` None means automatic: on for L <= 16, off otherwise. ``audit``
-    True above the scan's cap of L = 24 raises CapExceeded. When auditing,
-    the sphere and the scan must return the same metric; anything else
-    raises InternalConsistencyError.
+    The audit runs on every step at L <= 16; ``audit`` True forces it at any
+    L and raises CapExceeded above the scan's cap of L = 24, and no value
+    turns it off. When auditing, the sphere and the scan must return the
+    same metric; anything else raises InternalConsistencyError.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     length = signature_set.length
-    if audit is None:
-        audit = length <= AUDIT_AUTO_MAX_L
+    audit = audit or length <= AUDIT_AUTO_MAX_L
     step, solved = _step(signature_set, method, {method, "ml", "sd"} if audit else {method})
     result = solved[method]
 
@@ -268,9 +262,10 @@ def upscale_chain(
     target_k: int,
     method: str = "sd",
     *,
-    audit: bool | None = None,
+    audit: bool = False,
 ) -> ChainReport:
-    """Extend one signature at a time until the set holds ``target_k``."""
+    """Extend one signature at a time until the set holds ``target_k``;
+    ``audit`` True forces the audit on each step, as in extend_once."""
     if (target_k := _integer(target_k)) <= initial.k:
         raise ValueError(f"target K={target_k} must exceed the current K={initial.k}")
     current = initial

@@ -53,9 +53,9 @@ def wrong_scan(monkeypatch):
 
 @pytest.fixture(scope="session")
 def reference_chain():
-    """The Hadamard 16 -> 32 ``sd`` chain without audit, run once for every test
-    that reads it."""
-    return upscale_chain(hadamard_set(16), 32, "sd", audit=False)
+    """The Hadamard 16 -> 32 ``sd`` chain, audited as every L = 16 step is, run
+    once for every test that reads it."""
+    return upscale_chain(hadamard_set(16), 32, "sd")
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -15,7 +15,7 @@ import sigforge.sigcore
 import sigforge.sphere
 from sigforge import (CorrelationMatrix, EigenFailure, SignatureSet, hadamard_set, load_set,
                       save_set)
-from sigforge.cli import main
+from sigforge.cli import _build_parser, main
 
 DATA = Path(__file__).parent / "data"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -33,6 +33,37 @@ def h16_file(tmp_path):
     path = tmp_path / "h16.txt"
     save_set(hadamard_set(16), path)
     return str(path)
+
+
+class TestParseContract:
+    """What each command hands its handler: one argv per command, with every
+    option the handler reads, defaults included."""
+
+    CASES = (
+        (["tsc", "a.txt"], dict(set_file="a.txt")),
+        (["bound", "--k", "19", "--l", "16"], dict(k=19, length=16, table=None)),
+        (["extend", "a.txt", "--method", "ml", "--audit", "--save-set", "b.txt"],
+         dict(set_file="a.txt", method="ml", audit=True, save_set="b.txt")),
+        (["chain", "--hadamard", "4", "--to", "6"],
+         dict(set_file=None, hadamard=4, target=6, method="sd", audit=False, save_set=None)),
+        (["compare", "a.txt", "b.txt"], dict(set_files=["a.txt", "b.txt"])),
+        (["report", "--format", "json", "--out", "x.json"],
+         dict(set_file=None, hadamard=None, target=32, method="sd", audit=False, fmt="json",
+              out="x.json")),
+    )
+
+    def test_parsed_namespaces(self):
+        for argv, expected in self.CASES:
+            parsed = vars(_build_parser().parse_args(argv))
+            parsed.pop("handler", None)
+            assert parsed == dict(expected, command=argv[0])
+
+    def test_every_audit_flag_is_explained(self, capsys):
+        for command in ("extend", "chain", "report"):
+            with pytest.raises(SystemExit):
+                _build_parser().parse_args([command, "--help"])
+            text = " ".join(capsys.readouterr().out.split())
+            assert "force the sphere-vs-exhaustive equality check" in text, command
 
 
 class TestTscCommand:

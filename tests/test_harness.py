@@ -117,8 +117,9 @@ class TestExtendOnce:
                 ExtensionRecord(**sane, audit_agreement=verdict)
 
     def test_record_carries_the_returned_verdict(self):
-        for audit, verdict in ((True, True), (False, None)):
-            _, record, agreement = extend_once(hadamard_set(4), "quant", audit=audit)
+        above_auto = random_set(np.random.default_rng(73), 21, AUDIT_AUTO_MAX_L + 1)
+        for s, audit, verdict in ((hadamard_set(4), True, True), (above_auto, False, None)):
+            _, record, agreement = extend_once(s, "quant", audit=audit)
             assert record.audit_agreement is agreement
             assert agreement is verdict
 
@@ -304,9 +305,14 @@ class TestAuditEndToEnd:
         report = upscale_chain(hadamard_set(8), 12)
         assert all(flag is True for flag in report.audit)
 
-    def test_audit_off_when_requested(self):
+    def test_audit_cannot_be_switched_off(self):
         report = upscale_chain(hadamard_set(8), 10, audit=False)
-        assert all(flag is None for flag in report.audit)
+        assert all(flag is True for flag in report.audit)
+
+    def test_unforced_step_at_l16_carries_the_scan_proof(self):
+        s = random_set(np.random.default_rng(74), 20, AUDIT_AUTO_MAX_L)
+        _, record, agreement = extend_once(s, "sd", audit=False)
+        assert agreement is True and record.audit_agreement is True
 
 
 class TestCapAndAuditBoundaries:
