@@ -82,7 +82,10 @@ def _out(text: str, end: str = "\n") -> None:
     """Write to stdout in UTF-8 whatever its own encoding, so a file name
     never fails a finished run: a character UTF-8 cannot hold (an
     undecodable byte of a name) is backslash-escaped. A stdout with no byte
-    layer underneath, such as an io.StringIO, gets the text itself."""
+    layer underneath, such as an io.StringIO, gets the text itself; a closed
+    one (None, as Python sets it when fd 1 is closed) is an OSError."""
+    if sys.stdout is None:
+        raise OSError("stdout is closed")
     buffer = getattr(sys.stdout, "buffer", None)
     if buffer is None:
         sys.stdout.write(text + end)

@@ -19,7 +19,8 @@ from __future__ import annotations
 import io
 import json
 
-from .bounds import BoundValue, binary_tsc_bound, welch_bound
+from .bounds import BoundOverflow, BoundValue, binary_tsc_bound, fp_operation_bound, welch_bound
+from .linalg import cholesky
 from .sigcore import (InternalConsistencyError, Record, SignatureSet, _integer, extend_set,
                       load_set, tsc, tsc_increment)
 from .sphere import (
@@ -213,6 +214,22 @@ def _step(signature_set: SignatureSet, method: str, names) -> tuple[StepAnalysis
     return step, solved
 
 
+def _factor_columns(step: StepAnalysis) -> tuple[bool, float | None]:
+    """An extension record's jitter flag and operation bound, from the Cholesky
+    factor of R with its indices reversed; no search reads that factor. The
+    bound is None when the factor needed jitter (it is then one of R + jitter*I
+    and says nothing of R) or overflows; 1 / min u_ii^2 caps the per-axis reach."""
+    factor = cholesky(step.matrix.entries[::-1, ::-1])
+    if factor.jitter > 0.0:
+        return True, None
+    diag = factor.entries.diagonal()
+    try:
+        return False, fp_operation_bound(
+            step.matrix.dim, float(step.quant_metric), 1.0 / float((diag * diag).min()))
+    except BoundOverflow:
+        return False, None
+
+
 def extend_once(
     signature_set: SignatureSet,
     method: str = "sd",
@@ -223,7 +240,8 @@ def extend_once(
 
     Returns (extended set, ExtensionRecord, the record's audit_agreement).
     The radius, minimum eigenvalue, operation bound, and jitter flag are
-    properties of the set's autocorrelation matrix, reported for every method.
+    properties of R, reported for every method; the last two come from
+    ``_factor_columns``, the one factor of R taken outside the walk.
 
     The audit runs on every step at L <= 16; ``audit`` True forces it at any
     L and raises CapExceeded above the scan's cap of L = 24, and no value
@@ -236,6 +254,7 @@ def extend_once(
     audit = audit or length <= AUDIT_AUTO_MAX_L
     step, solved = _step(signature_set, method, {method, "ml", "sd"} if audit else {method})
     result = solved[method]
+    jitter_applied, fp_bound = _factor_columns(step)
 
     extended = extend_set(signature_set, result.best)
     tsc_before = tsc(signature_set)
@@ -250,8 +269,8 @@ def extend_once(
         lambda_min=step.lambda_min,
         nodes_visited=result.nodes_visited,
         candidates_enumerated=result.candidates_enumerated,
-        fp_bound=step.fp_bound,
-        jitter_applied=step.jitter_applied,
+        fp_bound=fp_bound,
+        jitter_applied=jitter_applied,
         audit_agreement=True if audit else None,
     )
     return extended, record, record.audit_agreement

@@ -32,7 +32,6 @@ from operator import mul
 
 import numpy as np
 
-from .bounds import BoundOverflow, fp_operation_bound
 from .linalg import SingularMatrix, cholesky, min_eigenpair, quantize_sign
 from .sigcore import (
     EXACT_SCAN_LIMIT,
@@ -460,21 +459,17 @@ def local_descent_baseline(matrix: CorrelationMatrix, start: Signature) -> Searc
 
 
 class StepAnalysis(Record):
-    """What one extension step knows before any search.
-
-    R, its minimum eigenvalue, the sign-quantized eigenvector and its exact
-    metric (the search radius), and from the Cholesky factor of R with its
-    indices reversed, whether that factor needed jitter and the operation
-    bound (None when it did, or when the bound overflows). The first-optimum
-    walk factors its own shifted form.
+    """What one extension step knows before any search: R, its minimum
+    eigenvalue, the sign-quantized eigenvector and its exact metric (the
+    search radius). The first-optimum walk factors its own shifted form.
     """
 
-    __slots__ = ("matrix", "lambda_min", "quantized", "quant_metric", "jitter_applied", "fp_bound")
+    __slots__ = ("matrix", "lambda_min", "quantized", "quant_metric")
     __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __init__(self, matrix: CorrelationMatrix, lambda_min: float, quantized: Signature,
-                 quant_metric: int, jitter_applied: bool, fp_bound: float | None):
-        super().__init__(matrix, lambda_min, quantized, quant_metric, jitter_applied, fp_bound)
+                 quant_metric: int):
+        super().__init__(matrix, lambda_min, quantized, quant_metric)
 
     def first_optimum(self) -> SearchResult:
         """The optimal extension by the first-optimum sphere walk, from the
@@ -483,29 +478,8 @@ class StepAnalysis(Record):
 
 
 def analyse_step(signature_set: SignatureSet) -> StepAnalysis:
-    """Build R once and derive the radius, eigenvalue and bound from it."""
+    """Build R once and derive the eigenpair, quantized point and exact metric from it."""
     matrix = correlation_matrix(signature_set)
     pair = min_eigenpair(matrix)
     quantized = quantize_sign(pair.vector)
-    quant_metric = quadratic_metric(matrix, quantized)
-
-    factor = cholesky(matrix.entries[::-1, ::-1])
-    jitter_applied = factor.jitter > 0.0
-    # Reciprocal of the smallest squared diagonal caps the per-axis reach. A
-    # jittered factor is one of R + jitter*I, whose bound says nothing of R.
-    diag = np.diag(factor.entries)
-    scale = 1.0 / float((diag * diag).min())
-    try:
-        fp_bound = None if jitter_applied else fp_operation_bound(
-            matrix.dim, float(quant_metric), scale
-        )
-    except BoundOverflow:
-        fp_bound = None
-    return StepAnalysis(
-        matrix=matrix,
-        lambda_min=pair.value,
-        quantized=quantized,
-        quant_metric=quant_metric,
-        jitter_applied=jitter_applied,
-        fp_bound=fp_bound,
-    )
+    return StepAnalysis(matrix, pair.value, quantized, quadratic_metric(matrix, quantized))

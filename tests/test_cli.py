@@ -528,3 +528,26 @@ class TestStdoutEncoding:
         assert done.returncode == 0, done.stderr
         assert done.stdout.endswith(b"\nsaved " + spelled + b"2.txt\n")
         assert load_set(tmp_path / f"{stem}2.txt").k == 5
+
+
+class TestClosedStdout:
+    """Python sets sys.stdout to None when fd 1 is closed. A run then exits 2
+    with a message, as on a broken pipe, not with a traceback."""
+
+    def test_exits_2_with_a_message(self, h4_file, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdout", None)
+        assert main(["tsc", h4_file]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.skipif(shutil.which("sh") is None, reason="no POSIX shell")
+    def test_report_writes_its_file_first(self, tmp_path):
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        out = tmp_path / "r.json"
+        done = subprocess.run(
+            ["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m", "sigforge.cli", "report",
+             "--hadamard", "4", "--to", "6", "--format", "json", "--out", str(out)],
+            env=dict(os.environ, PYTHONPATH=path), stderr=subprocess.PIPE, timeout=120,
+        )
+        assert done.returncode == 2
+        assert done.stderr == b"error: stdout is closed\n"
+        assert json.loads(out.read_bytes())["kind"] == "chain"

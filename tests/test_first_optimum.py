@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sigforge.harness
 import sigforge.sphere
 from sigforge import (
     CorrelationMatrix,
@@ -178,19 +179,20 @@ class TestReferenceChain:
         assert total < FIXED_RADIUS_CHAIN_NODES
 
     def test_two_factorizations_per_step(self, monkeypatch):
-        # One of R in the step analysis, for fp_bound and the jitter flag, and
-        # one of the walked form L*R - (b-2)*I (b is 256 on every step).
+        # One of R in the harness, for the record's fp_bound and jitter flag,
+        # and one of the walked form L*R - (b-2)*I (b is 256 on every step).
         calls = []
         original = sigforge.sphere.cholesky
+        for module in (sigforge.sphere, sigforge.harness):
+            def counted(entries, name=module.__name__):
+                calls.append(name)
+                return original(entries)
 
-        def counted(entries):
-            calls.append(entries.shape)
-            return original(entries)
-
-        monkeypatch.setattr(sigforge.sphere, "cholesky", counted)
+            monkeypatch.setattr(module, "cholesky", counted)
         chain = upscale_chain(hadamard_set(16), 32, "sd", audit=False)
         assert len(chain.records) == 16
         assert len(calls) == 32
+        assert calls.count("sigforge.harness") == calls.count("sigforge.sphere") == 16
 
     def test_floor_is_certified_on_every_step(self, reference_chain):
         final = reference_chain.final_set

@@ -5,6 +5,8 @@ import json
 import numpy as np
 import pytest
 
+import sigforge.harness
+import sigforge.sphere
 from sigforge import (
     CapExceeded,
     ChainReport,
@@ -190,6 +192,17 @@ class TestCompareMethods:
             assert row.tsc_sd == row.tsc_ml
             assert row.tsc_descent >= row.tsc_sd
             assert row.tsc_quant >= row.tsc_descent
+
+    def test_one_factorization_per_set(self, monkeypatch):
+        # Only the sphere walk factors a compared set; the jitter flag and the
+        # operation bound, which need a factor of R, belong to extension records.
+        calls = []
+        original = sigforge.sphere.cholesky
+        for module in (sigforge.sphere, sigforge.harness):
+            monkeypatch.setattr(module, "cholesky",
+                                lambda entries: calls.append(entries) or original(entries))
+        compare_methods(random_set(np.random.default_rng(21), 32, 21))
+        assert len(calls) == 1
 
     def test_cap_precondition(self):
         rng = np.random.default_rng(68)

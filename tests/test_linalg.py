@@ -26,6 +26,7 @@ from sigforge import (
     save_set,
 )
 from sigforge.cli import main
+from sigforge.harness import _factor_columns
 from sigforge.sphere import _positive_definite, analyse_step
 
 RECON_TOL = 1e-8
@@ -97,7 +98,8 @@ class TestCholesky:
                 for chosen in sets:
                     step = analyse_step(SignatureSet.from_rows(chosen))
                     singular = not _positive_definite(step.matrix.entries.tolist())
-                    assert step.jitter_applied == singular, (length, k)
+                    jitter_applied, _ = _factor_columns(step)
+                    assert jitter_applied == singular, (length, k)
 
     def test_indefinite_matrix_rejected(self):
         # Symmetric, constant diagonal, integer: passes type validation but

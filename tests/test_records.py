@@ -49,7 +49,7 @@ PARAMETERS = {
     EigenPair: [("value", NO_DEFAULT), ("vector", NO_DEFAULT)],
     StepAnalysis: [
         ("matrix", NO_DEFAULT), ("lambda_min", NO_DEFAULT), ("quantized", NO_DEFAULT),
-        ("quant_metric", NO_DEFAULT), ("jitter_applied", NO_DEFAULT), ("fp_bound", NO_DEFAULT),
+        ("quant_metric", NO_DEFAULT),
     ],
     SearchResult: [
         ("best", NO_DEFAULT), ("best_metric", NO_DEFAULT), ("candidates_enumerated", NO_DEFAULT),

@@ -9,12 +9,13 @@ import os
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from sigforge import (CompareEntry, CompareReport, emit_report, hadamard_set, one_shot_experiment,
-                      upscale_chain)
+from sigforge import (CompareEntry, CompareReport, SignatureSet, emit_report, hadamard_set,
+                      one_shot_experiment, upscale_chain)
 from sigforge.cli import main
-from sigforge.harness import METHODS
+from sigforge.harness import AUDIT_AUTO_MAX_L, METHODS
 
 ROOT = Path(__file__).parent.parent
 DATA = Path(__file__).parent / "data"
@@ -115,17 +116,33 @@ def assert_cells_match(header, rows, objects, nested):
             assert cell == documented_cell(value), (name, cell, value)
 
 
+def random_l17_start():
+    """A seeded K = 17, L = 17 set: above the automatic audit, so an unforced
+    chain from it leaves its audit cells empty."""
+    rows = np.random.default_rng(17).choice([-1, 1], size=(17, 17)).tolist()
+    return SignatureSet.from_rows(rows)
+
+
 class TestCsvMatchesJson:
-    @pytest.mark.parametrize("audit", [None, True, False])
+    # A Hadamard 4 chain is audited whatever ``audit`` says; an L = 17 chain
+    # is audited only when forced. The ids name the ``audit`` argument.
+    @pytest.mark.parametrize("start, target, audit", [
+        pytest.param(lambda: hadamard_set(4), 7, False, id="False"),
+        pytest.param(random_l17_start, 19, False, id="L17-False"),
+        pytest.param(random_l17_start, 19, True, id="True"),
+    ])
     @pytest.mark.parametrize("method", METHODS)
-    def test_chain_cells_equal_json_values(self, method, audit):
-        report = upscale_chain(hadamard_set(4), 7, method, audit=audit)
+    def test_chain_cells_equal_json_values(self, method, start, target, audit):
+        initial = start()
+        report = upscale_chain(initial, target, method, audit=audit)
         header, *rows = csv.reader(io.StringIO(emit_report(report, "csv").decode("utf-8")))
         steps = json.loads(emit_report(report, "json"))["steps"]
-        assert len(steps) == 3
+        assert len(steps) == target - initial.k
+        audited = audit or initial.length <= AUDIT_AUTO_MAX_L
+        assert {step["audit_agreement"] for step in steps} == {True if audited else None}
         # The step column is the row's position; the JSON steps are a list.
         assert header[0] == "step"
-        assert [row[0] for row in rows] == ["1", "2", "3"]
+        assert [row[0] for row in rows] == [str(n) for n in range(1, len(steps) + 1)]
         assert_cells_match(header[1:], [row[1:] for row in rows], steps, CHAIN_NESTED)
 
     def test_compare_golden_cells_equal_json_values(self):

@@ -21,6 +21,7 @@ from sigforge import (
     radius_squared,
     sphere_search,
 )
+from sigforge.harness import _factor_columns
 from sigforge.sphere import analyse_step
 
 # Nodes the walk without the shifted form and the nearest-plane start
@@ -152,11 +153,11 @@ class TestDerivedMatrices:
         assert (walked.best, walked.best_metric) == (fixed.best, fixed.best_metric)
 
     def test_no_floor_walks_l_r_plus_2i(self, monkeypatch):
-        # K < L: R is singular, so the analysed factor of R is jittered, and
+        # K < L: R is singular, so the record's factor of R is jittered, and
         # the certified floor is 0. The walk factors the index-reversed
         # L*R + 2I, which needs no jitter.
         step = analyse_step(parse(NESTING_ROWS[:5]))
-        assert step.jitter_applied
+        assert _factor_columns(step) == (True, None)
         assert certified_floor(step.matrix, step.lambda_min) == 0
         calls = counting_cholesky(monkeypatch)
         result = step.first_optimum()

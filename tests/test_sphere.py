@@ -1,5 +1,7 @@
 """Sphere search against brute force: optimality, completeness, accounting."""
 
+import ast
+import inspect
 import math
 import tracemalloc
 
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sigforge.harness
 import sigforge.sphere
 from sigforge import (
     BoundOverflow,
@@ -31,6 +34,7 @@ from sigforge import (
     sphere_search,
     tsc,
 )
+from sigforge.harness import _factor_columns
 from sigforge.sphere import EXACT_SCAN_LIMIT, analyse_step
 
 
@@ -391,25 +395,25 @@ class TestExtendOptimal:
         s = SignatureSet.from_rows(rng.choice([-1, 1], size=(6, 5)).tolist())
         step = analyse_step(s)
         result = step.first_optimum()
-        assert extend_once(s, "sd")[1].radius_c == float(step.quant_metric)
+        record = extend_once(s, "sd")[1]
+        assert record.radius_c == float(step.quant_metric)
         assert result.best_metric <= step.quant_metric
         assert result.candidates_enumerated >= 1
-        assert step.fp_bound is None or step.fp_bound > 0.0
+        assert record.fp_bound is None or record.fp_bound > 0.0
 
     def test_overflowing_bound_reads_none(self, monkeypatch):
         def overflow(dim, radius, scale):
             raise BoundOverflow(f"operation bound exceeds float range at L={dim}")
 
-        monkeypatch.setattr(sigforge.sphere, "fp_operation_bound", overflow)
-        step = analyse_step(hadamard_set(8))
-        assert not step.jitter_applied
-        assert step.fp_bound is None
+        monkeypatch.setattr(sigforge.harness, "fp_operation_bound", overflow)
+        record = extend_once(hadamard_set(8), "sd")[1]
+        assert not record.jitter_applied
+        assert record.fp_bound is None
 
     def test_degenerate_set_uses_jitter(self):
         s = SignatureSet.from_rows([[1, 1], [1, 1]])
         step = analyse_step(s)
-        assert step.jitter_applied
-        assert step.fp_bound is None
+        assert _factor_columns(step) == (True, None)
         assert step.first_optimum().best_metric == 0
 
 
@@ -434,6 +438,16 @@ def scan_sets(draw):
         )
     )
     return SignatureSet.from_rows(rows)
+
+
+def test_step_analysis_holds_only_the_search_inputs():
+    # The search layer reads R, its eigenpair, the quantized point and its
+    # metric; the record's factor of R and its operation bound live in harness.
+    assert StepAnalysis.__slots__ == ("matrix", "lambda_min", "quantized", "quant_metric")
+    tree = ast.parse(inspect.getsource(sigforge.sphere))
+    assert "bounds" not in {
+        node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+    }
 
 
 class TestMeetInTheMiddleScan:
@@ -586,7 +600,7 @@ class TestRadiusAbove2To53:
         expected = (Signature((1, 1, 1)), metric)
         result = sphere_search(matrix, radius, lambda_min=pair.value)
         assert (result.best, result.best_metric) == expected
-        step = StepAnalysis(matrix, pair.value, quantized, radius, False, None)
+        step = StepAnalysis(matrix, pair.value, quantized, radius)
         result = step.first_optimum()
         assert (result.best, result.best_metric) == expected
 
