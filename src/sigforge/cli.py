@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .bounds import binary_tsc_bound, load_bound_table, welch_bound
+from .bounds import binary_tsc_bound, welch_bound
 from .harness import (
     INPUT_ERRORS,
     METHODS,
@@ -52,7 +52,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=_parse_integer, required=True, help="number of signatures")
     p.add_argument("--l", dest="length", type=_parse_integer, required=True,
                    help="signature length")
-    p.add_argument("--table", help="JSON case table for the binary bound")
 
     p = sub.add_parser("extend", parents=[run], help="add one signature to a set")
     p.set_defaults(handler=_cmd_extend)
@@ -104,12 +103,11 @@ def _cmd_tsc(args) -> int:
 
 
 def _cmd_bound(args) -> int:
-    table = load_bound_table(args.table) if args.table else None
     _out(f"welch {welch_bound(args.k, args.length).value}")
     if args.k < args.length:
         _out("binary n/a (requires K >= L)")
     else:
-        bound = binary_tsc_bound(args.k, args.length, table)
+        bound = binary_tsc_bound(args.k, args.length)
         _out(f"binary {bound.value} ({bound.kind})")
     return 0
 

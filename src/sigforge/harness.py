@@ -99,7 +99,7 @@ class ExtensionRecord(Record):
         return self.k_before + 1
 
     welch_after = property(lambda self: welch_bound(self.k_after, self.length))
-    binary_bound_after = property(lambda self: _bound_after(self.k_after, self.length))
+    binary_bound_after = property(lambda self: binary_tsc_bound(self.k_after, self.length))
 
 
 class ChainReport(Record):
@@ -167,14 +167,6 @@ class CompareReport(Record):
 
     def __init__(self, entries: tuple):
         super().__init__(entries)
-
-
-def _bound_after(k_after: int, length: int) -> BoundValue:
-    # Binary bounds are defined for K >= L only; a still-underloaded set
-    # gets the plain Welch bound instead.
-    if k_after >= length:
-        return binary_tsc_bound(k_after, length)
-    return welch_bound(k_after, length)
 
 
 def _solve(step: StepAnalysis, method: str) -> SearchResult:
@@ -373,7 +365,7 @@ def _entry_json(entry: CompareEntry) -> dict:
     """One compare entry: its row inlined, with the binary bound and each TSC's
     gap above it; an error entry's row, bound and gaps read as null."""
     row = entry.row
-    bound = None if row is None else _bound_after(row.k_after, row.length)
+    bound = None if row is None else binary_tsc_bound(row.k_after, row.length)
     obj = {"path": entry.path, "error": entry.error, "binary_bound": _bound_json(bound)}
     obj.update((name, getattr(row, name, None)) for name in CompareRow.__slots__)
     for method in METHODS:

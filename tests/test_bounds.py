@@ -1,7 +1,6 @@
-"""Welch bound, binary-bound case table, and the operation-count ceiling."""
+"""Welch bound, the binary TSC bound, and the operation-count ceiling."""
 
 import itertools
-import json
 
 import numpy as np
 import pytest
@@ -10,30 +9,27 @@ from sigforge import (
     BoundOverflow,
     BoundValue,
     SignatureSet,
-    Underloaded,
     binary_tsc_bound,
     fp_operation_bound,
-    load_bound_table,
     tsc,
     welch_bound,
 )
 
-# Exhaustive minimum TSC for K=5, L=4, computed below. Any binary set's
-# TSC is invariant under negating a whole signature, so signatures can be
-# normalized to a +1 leading chip: 8 classes, chosen with repetition.
-EXHAUSTIVE_5_4 = None
-
 
 def exhaustive_min_tsc(k, length):
-    half = []
-    for bits in range(1 << (length - 1)):
-        chips = [1] + [1 if (bits >> i) & 1 == 0 else -1 for i in range(length - 1)]
-        half.append(chips)
-    best = None
-    for combo in itertools.combinations_with_replacement(half, k):
-        value = tsc(SignatureSet.from_rows(list(combo)))
-        if best is None or value < best:
-            best = value
+    """The minimum TSC over every binary K x L set. TSC is invariant under
+    negating a whole signature and under reordering the signatures, so the
+    search runs over multisets of the 2^(L-1) signatures with a +1 leading
+    chip. A multiset's TSC is the sum of its Gram entries squared, taken from
+    the table of every pair's inner product."""
+    half = [[1] + [1 if (bits >> i) & 1 == 0 else -1 for i in range(length - 1)]
+            for bits in range(1 << (length - 1))]
+    squares = np.array(half) @ np.array(half).T
+    squares *= squares
+    combos = np.array(list(itertools.combinations_with_replacement(range(len(half)), k)))
+    totals = squares[combos[:, :, None], combos[:, None, :]].sum(axis=(1, 2))
+    best = int(totals.min())
+    assert tsc(SignatureSet.from_rows([half[i] for i in combos[totals.argmin()]])) == best
     return best
 
 
@@ -74,119 +70,22 @@ class TestBinaryBound:
         assert bound.value == 5776
         assert bound.kind == "binary_fallback_welch"
 
-    def test_underloaded_rejected(self):
-        with pytest.raises(Underloaded):
-            binary_tsc_bound(4, 8)
+    def test_underloaded_is_welch(self):
+        assert binary_tsc_bound(4, 8) == welch_bound(4, 8)
 
-    def test_table_case_used(self, tmp_path):
-        # The (5, 4) exhaustive minimum exercises the table path with a
-        # value this test computes itself rather than trusts.
-        minimum = exhaustive_min_tsc(5, 4)
-        assert minimum > welch_bound(5, 4).value  # 112 vs 100
-        doc = {
-            "schema": "sigforge.bound-table/1",
-            "cases": [
-                {"k_mod": 5 % 4, "l_mod": 0, "terms": [[minimum, 0, 0]], "achievable": True}
-            ],
-        }
-        path = tmp_path / "table.json"
-        path.write_text(json.dumps(doc))
-        table = load_bound_table(path)
-        bound = binary_tsc_bound(5, 4, table)
-        assert bound.value == minimum
-        assert bound.kind == "binary_table"
-        assert table.case_for(5, 4).achievable
+    def test_exhaustive_minimum_respects_bound(self):
+        # Both regimes: every binary set's TSC is at least the bound, and
+        # the kind changes from welch to binary_fallback_welch at K = L.
+        sizes = [(k, length) for length in range(1, 5) for k in range(1, 9)]
+        for k, length in sizes + [(k, 5) for k in range(1, 6)]:
+            bound = binary_tsc_bound(k, length)
+            assert bound.value <= exhaustive_min_tsc(k, length)
+            assert (bound.kind == "binary_fallback_welch") == (k >= length)
 
-    def test_polynomial_terms_evaluate_in_k_and_l(self, tmp_path):
-        # K^2 L term reproduces the Welch bound for K >= L.
-        doc = {
-            "schema": "sigforge.bound-table/1",
-            "cases": [{"k_mod": 1, "l_mod": 0, "terms": [[1, 2, 1]]}],
-        }
-        path = tmp_path / "table.json"
-        path.write_text(json.dumps(doc))
-        table = load_bound_table(path)
-        assert binary_tsc_bound(5, 4, table).value == 100
-        assert binary_tsc_bound(9, 8, table).value == 648
-
-    def test_uncovered_case_falls_back(self, tmp_path):
-        doc = {
-            "schema": "sigforge.bound-table/1",
-            "cases": [{"k_mod": 1, "l_mod": 0, "terms": [[1, 2, 1]]}],
-        }
-        path = tmp_path / "table.json"
-        path.write_text(json.dumps(doc))
-        table = load_bound_table(path)
-        assert binary_tsc_bound(6, 4, table).kind == "binary_fallback_welch"
-
-    def test_non_integer_case_rejected(self, tmp_path):
-        doc = {
-            "schema": "sigforge.bound-table/1",
-            "cases": [{"k_mod": 1, "l_mod": 0, "terms": [[0.5, 1, 2], [0.5, 0, 0]]}],
-        }
-        path = tmp_path / "table.json"
-        path.write_text(json.dumps(doc))
-        table = load_bound_table(path)
-        with pytest.raises(ValueError, match="non-integer 81/2"):
-            binary_tsc_bound(5, 4, table)
-
-    def test_table_below_welch_rejected(self, tmp_path):
-        doc = {
-            "schema": "sigforge.bound-table/1",
-            "cases": [{"k_mod": 1, "l_mod": 0, "terms": [[1, 0, 0]]}],
-        }
-        path = tmp_path / "table.json"
-        path.write_text(json.dumps(doc))
-        table = load_bound_table(path)
-        with pytest.raises(ValueError):
-            binary_tsc_bound(5, 4, table)
-
-    @pytest.mark.parametrize(
-        "doc",
-        [
-            {"cases": []},
-            {"schema": "sigforge.bound-table/1", "cases": "nope"},
-            {"schema": "sigforge.bound-table/1", "cases": [{"k_mod": 9, "l_mod": 0, "terms": [[1, 0, 0]]}]},
-            {"schema": "sigforge.bound-table/1", "cases": [{"k_mod": 1, "l_mod": 0, "terms": []}]},
-            # A case without terms, one that is not an object, and terms
-            # that are not [coeff, k_power, l_power] lists.
-            {"schema": "sigforge.bound-table/1", "cases": [{"k_mod": 1, "l_mod": 0}]},
-            {"schema": "sigforge.bound-table/1", "cases": [5]},
-            {"schema": "sigforge.bound-table/1", "cases": [{"k_mod": 1, "l_mod": 0, "terms": [[1, 0]]}]},
-            {"schema": "sigforge.bound-table/1", "cases": [{"k_mod": 1, "l_mod": 0, "terms": [7]}]},
-            {"schema": "sigforge.bound-table/1", "cases": [{"k_mod": 1, "l_mod": 0, "terms": [[1, -1, 0]]}]},
-            {
-                "schema": "sigforge.bound-table/1",
-                "cases": [
-                    {"k_mod": 1, "l_mod": 0, "terms": [[1, 0, 0]]},
-                    {"k_mod": 1, "l_mod": 0, "terms": [[2, 0, 0]]},
-                ],
-            },
-            # JSON's Infinity and NaN, and booleans where integers belong.
-            {"schema": "sigforge.bound-table/1", "cases": [{"k_mod": 1, "l_mod": 0, "terms": [[float("inf"), 0, 0]]}]},
-            {"schema": "sigforge.bound-table/1", "cases": [{"k_mod": 1, "l_mod": 0, "terms": [[float("nan"), 0, 0]]}]},
-            {"schema": "sigforge.bound-table/1", "cases": [{"k_mod": True, "l_mod": 0, "terms": [[1, 0, 0]]}]},
-            {"schema": "sigforge.bound-table/1", "cases": [{"k_mod": 1, "l_mod": 0, "terms": [[1, True, 0]]}]},
-            # achievable is a JSON boolean, not a truthy string or number.
-            {"schema": "sigforge.bound-table/1", "cases": [{"k_mod": 1, "l_mod": 0, "terms": [[1, 0, 0]], "achievable": "no"}]},
-            {"schema": "sigforge.bound-table/1", "cases": [{"k_mod": 1, "l_mod": 0, "terms": [[1, 0, 0]], "achievable": 1}]},
-            # Powers beyond MAX_TERM_POWER: evaluating them runs unbounded.
-            {"schema": "sigforge.bound-table/1", "cases": [{"k_mod": 1, "l_mod": 0, "terms": [[1, 1000000000, 0]]}]},
-            {"schema": "sigforge.bound-table/1", "cases": [{"k_mod": 1, "l_mod": 0, "terms": [[1, 0, 9]]}]},
-        ],
-    )
-    def test_malformed_tables_rejected(self, tmp_path, doc):
-        path = tmp_path / "table.json"
-        path.write_text(json.dumps(doc))
-        with pytest.raises(ValueError):
-            load_bound_table(path)
-
-    def test_exhaustive_minimum_respects_bound_small_family(self):
-        # All binary sets dominate the configured/fallback bound.
-        for length in (2, 4):
-            for k in range(length, length + 3):
-                minimum = exhaustive_min_tsc(k, length)
-                assert minimum >= binary_tsc_bound(k, length).value
+    def test_exhaustive_minimum_oracle(self):
+        # Five signatures of length 4 cannot all be orthogonal: 112 > 100.
+        assert exhaustive_min_tsc(5, 4) == 112
+        assert exhaustive_min_tsc(4, 4) == welch_bound(4, 4).value
 
 
 class TestFpOperationBound:

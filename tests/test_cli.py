@@ -41,7 +41,7 @@ class TestParseContract:
 
     CASES = (
         (["tsc", "a.txt"], dict(set_file="a.txt")),
-        (["bound", "--k", "19", "--l", "16"], dict(k=19, length=16, table=None)),
+        (["bound", "--k", "19", "--l", "16"], dict(k=19, length=16)),
         (["extend", "a.txt", "--method", "ml", "--audit", "--save-set", "b.txt"],
          dict(set_file="a.txt", method="ml", audit=True, save_set="b.txt")),
         (["chain", "--hadamard", "4", "--to", "6"],
@@ -109,59 +109,6 @@ class TestBoundCommand:
             main(["bound", "--k", k, "--l", "4"])
         assert exited.value.code == 2
         assert "invalid integer value" in capsys.readouterr().err
-
-    def test_table_file(self, tmp_path, capsys):
-        table = tmp_path / "table.json"
-        table.write_text(
-            json.dumps(
-                {
-                    "schema": "sigforge.bound-table/1",
-                    "cases": [{"k_mod": 1, "l_mod": 0, "terms": [[112, 0, 0]]}],
-                }
-            )
-        )
-        assert main(["bound", "--k", "5", "--l", "4", "--table", str(table)]) == 0
-        assert "binary 112 (binary_table)" in capsys.readouterr().out
-
-    def test_broken_table(self, tmp_path, capsys):
-        table = tmp_path / "table.json"
-        table.write_text("{not json")
-        assert main(["bound", "--k", "5", "--l", "4", "--table", str(table)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {table}: ") and err.endswith("line 1 column 2 (char 1)\n")
-
-    def test_table_nested_too_deep(self, tmp_path, capsys):
-        table = tmp_path / "table.json"
-        table.write_text("[" * 100_000 + "]" * 100_000)
-        assert main(["bound", "--k", "5", "--l", "4", "--table", str(table)]) == 2
-        assert capsys.readouterr().err.startswith(f"error: {table}: maximum recursion depth")
-
-    def test_table_not_utf8(self, tmp_path, capsys):
-        table = tmp_path / "table.json"
-        table.write_bytes(b'{"schema": "\xff"}')
-        assert main(["bound", "--k", "5", "--l", "4", "--table", str(table)]) == 2
-        assert capsys.readouterr().err.startswith(f"error: {table}: 'utf-8' codec can't decode byte 0xff")
-
-    def test_non_boolean_achievable(self, tmp_path, capsys):
-        table = tmp_path / "table.json"
-        case = '{"k_mod": 1, "l_mod": 0, "terms": [[1, 0, 0]], "achievable": "no"}'
-        table.write_text('{"schema": "sigforge.bound-table/1", "cases": [%s]}' % case)
-        assert main(["bound", "--k", "5", "--l", "4", "--table", str(table)]) == 2
-        assert "achievable must be a JSON boolean" in capsys.readouterr().err
-
-    def test_table_power_above_limit(self, tmp_path, capsys):
-        table = tmp_path / "table.json"
-        case = '{"k_mod": 1, "l_mod": 0, "terms": [[1, 3000000, 0]]}'
-        table.write_text('{"schema": "sigforge.bound-table/1", "cases": [%s]}' % case)
-        assert main(["bound", "--k", "5", "--l", "4", "--table", str(table)]) == 2
-        assert "case 0: term powers must be at most 8" in capsys.readouterr().err
-
-    def test_non_finite_table_coefficient(self, tmp_path, capsys):
-        table = tmp_path / "table.json"
-        case = '{"k_mod": 1, "l_mod": 0, "terms": [[Infinity, 0, 0]]}'
-        table.write_text('{"schema": "sigforge.bound-table/1", "cases": [%s]}' % case)
-        assert main(["bound", "--k", "5", "--l", "4", "--table", str(table)]) == 2
-        assert "finite" in capsys.readouterr().err
 
 
 class TestExtendCommand:

@@ -22,8 +22,7 @@ EXPORTED = [
     "hadamard_set", "load_set", "save_set",
     "CholeskyFactor", "EigenPair", "SingularMatrix", "EigenFailure", "cholesky",
     "min_eigenpair", "quantize_sign",
-    "BoundValue", "BoundTable", "Underloaded", "BoundOverflow", "welch_bound",
-    "binary_tsc_bound", "fp_operation_bound", "load_bound_table",
+    "BoundValue", "BoundOverflow", "welch_bound", "binary_tsc_bound", "fp_operation_bound",
     "SearchResult", "StepAnalysis", "EmptySphere", "CapExceeded", "radius_squared",
     "certified_floor", "sphere_search", "ml_exhaustive", "local_descent_baseline",
     "analyse_step",
@@ -41,7 +40,7 @@ def test_all_names_resolve(name):
 
 def test_package_exports_are_pinned():
     assert sigforge.__all__ == EXPORTED
-    assert len(EXPORTED) == 49
+    assert len(EXPORTED) == 46
 
 
 @pytest.mark.parametrize("name", EXPORTED[1:])

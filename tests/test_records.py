@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from sigforge import (
-    BoundTable,
     BoundValue,
     ChainReport,
     CholeskyFactor,
@@ -32,7 +31,6 @@ from sigforge import (
     upscale_chain,
     welch_bound,
 )
-from sigforge.bounds import _Case
 from sigforge.sphere import analyse_step
 
 NO_DEFAULT = inspect.Parameter.empty
@@ -40,8 +38,6 @@ NO_DEFAULT = inspect.Parameter.empty
 # Constructor parameters and their defaults, in order.
 PARAMETERS = {
     BoundValue: [("value", NO_DEFAULT), ("kind", NO_DEFAULT)],
-    _Case: [("terms", NO_DEFAULT), ("achievable", NO_DEFAULT)],
-    BoundTable: [("cases", NO_DEFAULT)],
     Signature: [("chips", NO_DEFAULT)],
     SignatureSet: [("signatures", NO_DEFAULT)],
     CorrelationMatrix: [("entries", NO_DEFAULT)],
@@ -92,11 +88,6 @@ def fixed_radius_walk(signature_set):
 # the classes equal by value, one with other values.
 BUILD = {
     BoundValue: (lambda: BoundValue(12, "welch"), lambda: BoundValue(13, "welch")),
-    _Case: (lambda: _Case(((1, 1, 2),), False), lambda: _Case(((1, 1, 2),), True)),
-    BoundTable: (
-        lambda: BoundTable({(0, 0): _Case(((1, 1, 2),), False)}),
-        lambda: BoundTable({}),
-    ),
     Signature: (lambda: Signature((1, -1, 1)), lambda: Signature((1, 1, 1))),
     SignatureSet: (overloaded_set, lambda: hadamard_set(4)),
     CorrelationMatrix: (
@@ -123,10 +114,9 @@ BUILD = {
     ),
 }
 
-# Equal by value and hashed over the fields (BoundTable's dict field makes
-# its hash raise, as hashing that dict would).
+# Equal by value and hashed over the fields.
 VALUE_EQUAL = {
-    BoundValue, _Case, BoundTable, Signature, ExtensionRecord, ChainReport,
+    BoundValue, Signature, ExtensionRecord, ChainReport,
     CompareRow, CompareEntry, CompareReport,
 }
 IDENTITY_EQUAL = {CholeskyFactor, EigenPair, StepAnalysis, SearchResult}
@@ -157,7 +147,7 @@ def test_every_class_is_covered():
     assert set(PARAMETERS) == set(BUILD) == VALUE_EQUAL | IDENTITY_EQUAL | {
         SignatureSet, CorrelationMatrix,
     }
-    assert len(CLASSES) == 15
+    assert len(CLASSES) == 13
 
 
 @pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
@@ -184,7 +174,7 @@ def test_equality_and_hashing(cls):
         return
     assert a == b and not a != b
     assert a != build_other()
-    if cls is CorrelationMatrix or cls is BoundTable:
+    if cls is CorrelationMatrix:
         with pytest.raises(TypeError):
             hash(a)
     else:
@@ -216,7 +206,7 @@ def test_records_store_no_derived_field():
 
 
 def test_equality_is_per_class():
-    assert BoundValue(12, "welch") != BoundTable({})
+    assert BoundValue(12, "welch") != CompareEntry("a.txt", error="bad")
     assert CompareReport(()) != ((),)
     assert Signature((1, -1)) != (1, -1)
 
