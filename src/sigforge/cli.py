@@ -104,11 +104,8 @@ def _cmd_tsc(args) -> int:
 
 def _cmd_bound(args) -> int:
     _out(f"welch {welch_bound(args.k, args.length).value}")
-    if args.k < args.length:
-        _out("binary n/a (requires K >= L)")
-    else:
-        bound = binary_tsc_bound(args.k, args.length)
-        _out(f"binary {bound.value} ({bound.kind})")
+    bound = binary_tsc_bound(args.k, args.length)
+    _out(f"binary {bound.value} ({bound.kind})")
     return 0
 
 

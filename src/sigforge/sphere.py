@@ -20,8 +20,10 @@ improvement and stops at the eigenvalue floor, which it certifies only when
 a leaf reaches it. Both walk one positive definite form, A = L*R - (b-2)*I
 with b the proposed floor or 0.
 
-Also provides the exhaustive scan used as the optimality oracle and a plain
-single-bit-flip descent baseline for method comparisons.
+Also provides the exhaustive scan used as the optimality oracle, a plain
+single-bit-flip descent baseline for method comparisons, and the step
+analysis, whose first optimum on a set that starts with an orthogonal block
+comes from an exact meet-in-the-middle completion instead of a walk.
 """
 
 from __future__ import annotations
@@ -35,11 +37,13 @@ import numpy as np
 from .linalg import SingularMatrix, cholesky, min_eigenpair, quantize_sign
 from .sigcore import (
     EXACT_SCAN_LIMIT,
+    INT64_LIMIT,
     CorrelationMatrix,
     InternalConsistencyError,
     Record,
     Signature,
     SignatureSet,
+    _gram,
     correlation_matrix,
     quadratic_metric,
 )
@@ -59,6 +63,9 @@ __all__ = [
 
 # Largest L the exhaustive scan takes: 2^23 points, 8.4 ms on one thread (README).
 ML_CAP = 24
+# Largest L the orthogonal-start completion takes: its head table holds
+# 2^(L/2) rows, 2^16 at L = 32.
+COMPLETION_MAX_L = 32
 # Float64 entries per block of the exhaustive scan (256 KB), so a block stays
 # in a core's L2 cache: 2^15 beat 2^14, 2^16 and 2^18 at L = 16 to 24 on one
 # OpenBLAS thread (README).
@@ -458,28 +465,131 @@ def local_descent_baseline(matrix: CorrelationMatrix, start: Signature) -> Searc
     )
 
 
+def _signed_sums(coefficients: np.ndarray) -> np.ndarray:
+    """sum_i s_i c_i for every sign row s, in lexicographic order (+1 before
+    -1, the first coefficient's sign most significant), as int64."""
+    sums = np.zeros(1, dtype=np.int64)
+    for c in coefficients[::-1].tolist():
+        sums = np.concatenate([sums + c, sums - c])
+    return sums
+
+
+def _lex_row(index: int, bits: int) -> tuple:
+    """Row ``index`` of the lexicographic sign table over ``bits`` signs."""
+    return tuple(1 - 2 * (index >> shift & 1) for shift in range(bits - 1, -1, -1))
+
+
+def _completion(excess: np.ndarray) -> Signature | None:
+    """The lexicographically first s with s_L = +1 and A s = 0, A = ``excess``
+    (m x L int64 of +-1), or None when there is none.
+
+    Meet in the middle, as in ``ml_exhaustive``: heads a = s_1..s_h,
+    h = floor(L/2), and tails b over the rest with s_L = +1, each in
+    lexicographic order; A s = 0 iff -A_h a = A_t b entry by entry. Every
+    entry of those sums lies in [-t, t], t = L - h, so a run of c of them
+    read as balanced digits in radix 2t + 1 is one integer, equal for two
+    runs only when they are equal. That key is linear in the signs, so a
+    chunk of c rows of A gives each column one coefficient and each table
+    its keys by ``_signed_sums``. Between chunks the keys are renumbered
+    densely, and c is the most rows that keep every key below 2^63, so all
+    of it is exact int64. The first head whose key some tail shares, joined
+    with the first such tail, is the answer.
+    """
+    dim = excess.shape[1]
+    h, t = dim // 2, dim - dim // 2
+    radix = 2 * t + 1
+    head_count = 1 << h
+    keys = np.zeros(head_count + (1 << (t - 1)), dtype=np.int64)
+    distinct, start = 1, 0
+    while start < len(excess):
+        if start:
+            uniques, keys = np.unique(keys, return_inverse=True)
+            keys, distinct = keys.reshape(-1), len(uniques)
+        rows = 1
+        while distinct * radix ** (rows + 1) < INT64_LIMIT:
+            rows += 1
+        chunk = excess[start : start + rows]
+        start += len(chunk)
+        digits = radix ** np.arange(len(chunk) - 1, -1, -1, dtype=np.int64)
+        coefficients = digits @ chunk
+        keys *= radix ** len(chunk)
+        keys[:head_count] += _signed_sums(-coefficients[:h])
+        keys[head_count:] += _signed_sums(coefficients[h:-1]) + coefficients[-1]
+    head_keys, tail_keys = keys[:head_count], keys[head_count:]
+    order = np.argsort(tail_keys, kind="stable")
+    ranked = tail_keys[order]
+    at = np.searchsorted(ranked, head_keys).clip(max=len(ranked) - 1)
+    match = ranked[at] == head_keys
+    if not match.any():
+        return None
+    head = int(match.argmax())
+    return Signature(_lex_row(head, h) + _lex_row(2 * int(order[at[head]]), t))
+
+
 class StepAnalysis(Record):
     """What one extension step knows before any search: R, its minimum
     eigenvalue, the sign-quantized eigenvector and its exact metric (the
-    search radius). The first-optimum walk factors its own shifted form.
+    search radius), and ``excess``: the rows A after an orthogonal first
+    block, or None. The first-optimum walk factors its own shifted form.
+
+    ``excess`` is set when the first L rows S_H satisfy S_H S_H^T = L*I
+    (``analyse_step`` states when it checks). Then R = S_H^T S_H + A^T A
+    = L*I + A^T A, so s^T R s = L^2 + ||A s||^2 >= L^2 in integers, and the
+    optima at L^2 are exactly the s with A s = 0.
     """
 
-    __slots__ = ("matrix", "lambda_min", "quantized", "quant_metric")
+    __slots__ = ("matrix", "lambda_min", "quantized", "quant_metric", "excess")
     __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __init__(self, matrix: CorrelationMatrix, lambda_min: float, quantized: Signature,
-                 quant_metric: int):
-        super().__init__(matrix, lambda_min, quantized, quant_metric)
+                 quant_metric: int, excess: np.ndarray | None = None):
+        super().__init__(matrix, lambda_min, quantized, quant_metric, excess)
 
     def first_optimum(self) -> SearchResult:
-        """The optimal extension by the first-optimum sphere walk, from the
-        quantized eigenvector's exact metric."""
-        return sphere_search(self.matrix, self.quant_metric, lambda_min=self.lambda_min)
+        """The optimal extension, the lexicographically first optimum with s_L = +1.
+
+        With ``excess`` set, the completion (``_completion``) looks for it at the
+        floor L^2; the leaf it returns is re-scored exactly, and any metric but
+        L^2 is an InternalConsistencyError. ``nodes_visited`` is then the
+        completion's table rows, 2^floor(L/2) + 2^floor((L-1)/2), and one
+        candidate is scored. Otherwise, or when no s has A s = 0, the
+        first-optimum sphere walk runs from the quantized eigenvector's exact
+        metric, and its result is returned as it is.
+        """
+        dim = self.matrix.dim
+        best = None if self.excess is None else _completion(self.excess)
+        if best is None:
+            return sphere_search(self.matrix, self.quant_metric, lambda_min=self.lambda_min)
+        metric = quadratic_metric(self.matrix, best)
+        if metric != dim * dim:
+            raise InternalConsistencyError(
+                f"orthogonal-start completion at L={dim}: its leaf has metric {metric}, "
+                f"not the floor {dim * dim}"
+            )
+        rows = (1 << dim // 2) + (1 << (dim - 1) // 2)
+        return SearchResult(best=best, best_metric=metric, candidates_enumerated=1,
+                            nodes_visited=rows, ties=1)
+
+
+def _orthogonal_excess(rows: np.ndarray) -> np.ndarray | None:
+    """The rows after the first L when those form an orthogonal block,
+    S_H S_H^T = L*I, checked exactly (``_gram``'s float64 product of +-1 rows
+    is exact); None without one. Only a Hadamard order L (1, 2 or a multiple
+    of 4) up to COMPLETION_MAX_L with K >= L is checked: no other L has such a
+    block, and above the cap the completion's tables grow too large."""
+    k, dim = rows.shape
+    if k < dim or dim > COMPLETION_MAX_L or (dim > 2 and dim % 4):
+        return None
+    if not np.array_equal(_gram(rows[:dim].T), dim * np.eye(dim, dtype=np.int64)):
+        return None
+    return rows[dim:]
 
 
 def analyse_step(signature_set: SignatureSet) -> StepAnalysis:
-    """Build R once and derive the eigenpair, quantized point and exact metric from it."""
+    """Build R once and derive the eigenpair, quantized point and exact metric
+    from it; note the rows after an orthogonal first block (``_orthogonal_excess``)."""
     matrix = correlation_matrix(signature_set)
     pair = min_eigenpair(matrix)
     quantized = quantize_sign(pair.vector)
-    return StepAnalysis(matrix, pair.value, quantized, quadratic_metric(matrix, quantized))
+    return StepAnalysis(matrix, pair.value, quantized, quadratic_metric(matrix, quantized),
+                        _orthogonal_excess(signature_set.rows))

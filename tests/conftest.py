@@ -1,5 +1,5 @@
-"""Shared pytest wiring: the acceptance verdict summary, a wrong scan and the
-reference chain.
+"""Shared pytest wiring: the acceptance verdict summary, a wrong scan, the
+reference chain and the first-optimum walk on each of its steps.
 
 The acceptance tests register one PASS/FAIL line per criterion; replaying
 them from pytest_terminal_summary keeps the lines out of per-test capture,
@@ -11,7 +11,8 @@ import contextlib
 import pytest
 
 import sigforge.harness
-from sigforge import hadamard_set, upscale_chain
+from sigforge import SignatureSet, hadamard_set, sphere_search, upscale_chain
+from sigforge.sphere import analyse_step
 
 _VERDICTS = pytest.StashKey[list]()
 
@@ -64,3 +65,17 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in lines:
             terminalreporter.line(line)
+
+
+@pytest.fixture(scope="session")
+def reference_walks(reference_chain):
+    """The first-optimum sphere walk on each step of the reference chain, from
+    the step's own radius and eigenvalue; the pipeline finds these steps'
+    optima by the orthogonal-start completion instead, so this keeps the
+    walk's counts on the paper's chain pinned."""
+    final = reference_chain.final_set
+    walks = []
+    for record in reference_chain.records:
+        step = analyse_step(SignatureSet(final.signatures[: record.k_before]))
+        walks.append(sphere_search(step.matrix, step.quant_metric, lambda_min=step.lambda_min))
+    return walks

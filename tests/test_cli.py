@@ -89,11 +89,10 @@ class TestBoundCommand:
         assert "welch 5776" in out
         assert "binary 5776 (binary_fallback_welch)" in out
 
-    def test_underloaded_binary_unavailable(self, capsys):
+    def test_underloaded_binary_is_welch(self, capsys):
+        # The same bound and kind a report row at K < L carries.
         assert main(["bound", "--k", "4", "--l", "8"]) == 0
-        out = capsys.readouterr().out
-        assert "welch 256" in out
-        assert "binary n/a" in out
+        assert capsys.readouterr().out == "welch 256\nbinary 256 (welch)\n"
 
     def test_bad_dimensions(self, capsys):
         assert main(["bound", "--k", "0", "--l", "4"]) == 2

@@ -94,7 +94,14 @@ def assert_first_optimum_is_exact(signature_set):
     assert unfloored.nodes_visited <= fixed.nodes_visited
     floor = certified_floor(matrix, pair.value)
     assert floor is None or floor <= scan.best_metric
-    assert fields_of(analyse_step(signature_set).first_optimum()) == fields_of(first)
+    # A set that starts with an orthogonal block is completed, not walked: the
+    # same answer, with the completion's own counts.
+    step = analyse_step(signature_set)
+    pipeline = step.first_optimum()
+    if step.excess is None:
+        assert fields_of(pipeline) == fields_of(first)
+    else:
+        assert (pipeline.best, pipeline.best_metric) == expected
 
 
 class TestSameAnswerAsScan:
@@ -168,19 +175,22 @@ class TestIterativeWalk:
 
 
 class TestReferenceChain:
-    """Counts, not timings: the Hadamard 16 -> 32 chain through the pipeline."""
+    """Counts, not timings: the first-optimum walk on each step of the
+    Hadamard 16 -> 32 chain, and the pipeline's own factorizations."""
 
-    def test_first_step_visits_one_path(self, reference_chain):
-        assert reference_chain.records[0].nodes_visited == 16
-        assert reference_chain.records[0].candidates_enumerated == 1
+    def test_first_step_visits_one_path(self, reference_walks):
+        assert reference_walks[0].nodes_visited == 16
+        assert reference_walks[0].candidates_enumerated == 1
 
-    def test_chain_nodes_below_fixed_radius_walk(self, reference_chain):
-        total = sum(record.nodes_visited for record in reference_chain.records)
+    def test_chain_nodes_below_fixed_radius_walk(self, reference_walks):
+        total = sum(walk.nodes_visited for walk in reference_walks)
         assert total < FIXED_RADIUS_CHAIN_NODES
 
-    def test_two_factorizations_per_step(self, monkeypatch):
-        # One of R in the harness, for the record's fp_bound and jitter flag,
-        # and one of the walked form L*R - (b-2)*I (b is 256 on every step).
+    def test_one_factorization_per_step(self, monkeypatch):
+        # One of R in the harness, for the record's fp_bound and jitter flag.
+        # Every step starts with the orthogonal Hadamard block, so the
+        # completion finds its optimum and the walk, which would factor
+        # L*R - (b-2)*I, never runs.
         calls = []
         original = sigforge.sphere.cholesky
         for module in (sigforge.sphere, sigforge.harness):
@@ -191,8 +201,7 @@ class TestReferenceChain:
             monkeypatch.setattr(module, "cholesky", counted)
         chain = upscale_chain(hadamard_set(16), 32, "sd", audit=False)
         assert len(chain.records) == 16
-        assert len(calls) == 32
-        assert calls.count("sigforge.harness") == calls.count("sigforge.sphere") == 16
+        assert calls == ["sigforge.harness"] * 16
 
     def test_floor_is_certified_on_every_step(self, reference_chain):
         final = reference_chain.final_set

@@ -206,9 +206,9 @@ class TestOneFactorOfLRPlus2I:
 
 
 class TestReferenceChainCounts:
-    def test_one_leaf_per_step(self, reference_chain):
-        assert [r.candidates_enumerated for r in reference_chain.records] == [1] * 16
+    def test_one_leaf_per_step(self, reference_walks):
+        assert [walk.candidates_enumerated for walk in reference_walks] == [1] * 16
 
-    def test_fewer_nodes_than_the_plain_walk(self, reference_chain):
-        total = sum(record.nodes_visited for record in reference_chain.records)
+    def test_fewer_nodes_than_the_plain_walk(self, reference_walks):
+        total = sum(walk.nodes_visited for walk in reference_walks)
         assert total < PLAIN_FIRST_OPTIMUM_CHAIN_NODES

@@ -442,8 +442,10 @@ def scan_sets(draw):
 
 def test_step_analysis_holds_only_the_search_inputs():
     # The search layer reads R, its eigenpair, the quantized point and its
-    # metric; the record's factor of R and its operation bound live in harness.
-    assert StepAnalysis.__slots__ == ("matrix", "lambda_min", "quantized", "quant_metric")
+    # metric, and the rows after an orthogonal first block; the record's
+    # factor of R and its operation bound live in harness.
+    assert StepAnalysis.__slots__ == (
+        "matrix", "lambda_min", "quantized", "quant_metric", "excess")
     tree = ast.parse(inspect.getsource(sigforge.sphere))
     assert "bounds" not in {
         node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
