@@ -10,7 +10,6 @@ from operator import mul
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import sigforge.sphere
 from sigforge import (
@@ -29,6 +28,7 @@ from sigforge import (
 )
 from sigforge.linalg import SingularMatrix
 from sigforge.sphere import WALK_BLOCK_ROWS, _rounding_slack, analyse_step
+from support import PROPERTY_SETTINGS, random_set, random_sets, repeated_row_sets
 
 
 def walked_form(matrix, lambda_min=None):
@@ -138,33 +138,9 @@ def assert_same_walk(matrix, radius, lambda_min=None):
     return result
 
 
-def rows_of(length, count):
-    return st.lists(
-        st.lists(st.sampled_from([-1, 1]), min_size=length, max_size=length),
-        min_size=count,
-        max_size=count,
-    )
-
-
-@st.composite
-def signature_sets(draw, max_length=14):
-    """Random sets with K from 1 to 3L (K < L makes R singular), or a few
-    distinct rows repeated (low rank, many ties)."""
-    length = draw(st.integers(2, max_length))
-    if draw(st.booleans()):
-        return SignatureSet.from_rows(draw(rows_of(length, draw(st.integers(1, 3 * length)))))
-    distinct = draw(rows_of(length, draw(st.integers(1, 3))))
-    repeats = draw(st.lists(st.integers(1, 4), min_size=len(distinct), max_size=len(distinct)))
-    return SignatureSet.from_rows([row for row, n in zip(distinct, repeats) for _ in range(n)])
-
-
-def seeded_set(seed, k, length):
-    return SignatureSet.from_rows(np.random.default_rng(seed).choice([-1, 1], size=(k, length)).tolist())
-
-
 class TestSameCountsAsDepthFirst:
-    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-    @given(signature_sets())
+    @PROPERTY_SETTINGS
+    @given(random_sets(2, 14) | repeated_row_sets(2, 14))
     def test_every_mode(self, signature_set):
         matrix = correlation_matrix(signature_set)
         pair = min_eigenpair(matrix)
@@ -182,7 +158,7 @@ class TestSameCountsAsDepthFirst:
         assert result.nodes_visited == (1 << 16) - 2 + (1 << 15)
 
     def test_several_improvements_in_one_walk(self):
-        step = analyse_step(seeded_set(24, 24, 16))
+        step = analyse_step(random_set(np.random.default_rng(24), 24, 16))
         result = assert_same_walk(step.matrix, step.quant_metric, step.lambda_min)
         assert result.candidates_enumerated == 6  # each leaf lowers the cap
 
@@ -228,7 +204,7 @@ class TestOnDemandCertificate:
 
     def test_not_asked_when_no_leaf_reaches_the_proposal(self, monkeypatch):
         calls = self._counted(monkeypatch)
-        step = analyse_step(seeded_set(24, 24, 16))
+        step = analyse_step(random_set(np.random.default_rng(24), 24, 16))
         result = step.first_optimum()
         assert result.best_metric > math.ceil(step.lambda_min * 16)
         assert calls == []
@@ -272,8 +248,8 @@ class TestRoundingSlack:
     """The walk's float budgets stay within ``_rounding_slack`` of the
     exact form, so no sign vector inside the radius is pruned."""
 
-    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
-    @given(signature_sets(max_length=24))
+    @settings(PROPERTY_SETTINGS, max_examples=40)
+    @given(random_sets(2, 24) | repeated_row_sets(2, 24))
     def test_property_sets(self, signature_set):
         matrix = correlation_matrix(signature_set)
         assert_budgets_within_slack(matrix, min_eigenpair(matrix).value)
@@ -327,7 +303,7 @@ REACH = {
 
 @pytest.mark.parametrize("seed", sorted(REACH))
 def test_reach_gate_l28(seed):
-    result = analyse_step(seeded_set(seed, 42, 28)).first_optimum()
+    result = analyse_step(random_set(np.random.default_rng(seed), 42, 28)).first_optimum()
     signs = "".join("+" if c > 0 else "-" for c in result.best)
     assert (signs, result.best_metric, result.nodes_visited, result.candidates_enumerated) == REACH[seed]
 

@@ -3,12 +3,9 @@ every metric >= L^2, and the meet-in-the-middle completion finds the
 lexicographically first s with A s = 0 for the rows A after the block; the
 walk runs only when no such s exists or no block comes first."""
 
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import sigforge.sphere
 from sigforge import (
@@ -22,10 +19,7 @@ from sigforge import (
     sphere_search,
 )
 from sigforge.sphere import COMPLETION_MAX_L, _completion, analyse_step
-
-
-def fields_of(result):
-    return tuple(getattr(result, name) for name in result.__slots__)
+from support import PROPERTY_SETTINGS, all_half_space, fields_of, first_completion, repeated_rows
 
 
 def table_rows(length):
@@ -35,15 +29,6 @@ def table_rows(length):
 
 def walk(step):
     return sphere_search(step.matrix, step.quant_metric, lambda_min=step.lambda_min)
-
-
-def brute_force_completion(excess, length):
-    """The first s in lexicographic order (+1 before -1) with s_L = +1 and A s = 0."""
-    for head in itertools.product((1, -1), repeat=length - 1):
-        s = np.array(head + (1,))
-        if not (excess @ s).any():
-            return Signature(tuple(s.tolist()))
-    return None
 
 
 def block_with_rows(length, rows, seed):
@@ -128,22 +113,11 @@ class TestBlockWithRandomRows:
         assert fields_of(step.first_optimum()) == fields_of(walk(step))
 
 
-@st.composite
-def repeated_rows(draw):
-    """A few distinct +-1 rows, each repeated up to 25 times, so A often has
-    a completion and often more rows than one key chunk holds."""
-    length = draw(st.integers(1, 9))
-    row = st.lists(st.sampled_from([-1, 1]), min_size=length, max_size=length)
-    pool = draw(st.lists(row, min_size=1, max_size=4))
-    repeats = draw(st.lists(st.integers(0, 25), min_size=len(pool), max_size=len(pool)))
-    rows = [r for r, times in zip(pool, repeats) for _ in range(times)]
-    return np.array(rows, dtype=np.int64).reshape(-1, length)
-
-
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(repeated_rows())
+@settings(PROPERTY_SETTINGS, max_examples=150)
+@given(repeated_rows(1, 9, max_distinct=4, repeats=(0, 25)))
 def test_completion_matches_brute_force(excess):
-    assert _completion(excess) == brute_force_completion(excess, excess.shape[1])
+    # A often has a completion, and often more rows than one key chunk holds.
+    assert _completion(excess) == first_completion(excess)
 
 
 def test_renumbered_keys_across_chunks():
@@ -167,10 +141,7 @@ def test_gate():
 def test_wrong_leaf_is_an_internal_consistency_error(monkeypatch):
     signature_set = SignatureSet.from_rows(block_with_rows(8, 1, 0))
     excess = analyse_step(signature_set).excess
-    wrong = next(
-        Signature(s + (1,)) for s in itertools.product((1, -1), repeat=7)
-        if (excess @ np.array(s + (1,))).any()
-    )
+    wrong = next(s for s in all_half_space(8) if (excess @ s.as_array()).any())
     monkeypatch.setattr(sigforge.sphere, "_completion", lambda excess: wrong)
     with pytest.raises(InternalConsistencyError, match="orthogonal-start completion"):
         analyse_step(signature_set).first_optimum()

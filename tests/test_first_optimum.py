@@ -4,9 +4,7 @@ iterative depth, and node counts on the reference chain."""
 import sys
 
 import numpy as np
-import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
+from hypothesis import given
 
 import sigforge.harness
 import sigforge.sphere
@@ -26,53 +24,18 @@ from sigforge import (
     upscale_chain,
 )
 from sigforge.sphere import analyse_step
+from support import (
+    PROPERTY_SETTINGS,
+    fields_of,
+    random_sets,
+    repeated_row_sets,
+    underloaded_sets,
+)
 
 # Nodes the fixed-radius walk visited on the Hadamard 16 -> 32 chain when it
 # still factored R in forward index order; the first-optimum pipeline has to
 # stay below that count.
 FIXED_RADIUS_CHAIN_NODES = 528_169
-
-PROPERTY_SETTINGS = settings(
-    max_examples=60, deadline=None, derandomize=True, database=None
-)
-
-
-def rows_of(length, count):
-    return st.lists(
-        st.lists(st.sampled_from([-1, 1]), min_size=length, max_size=length),
-        min_size=count,
-        max_size=count,
-    )
-
-
-@st.composite
-def random_sets(draw):
-    length = draw(st.integers(2, 14))
-    k = draw(st.integers(1, 3 * length))
-    return SignatureSet.from_rows(draw(rows_of(length, k)))
-
-
-@st.composite
-def repeated_row_sets(draw):
-    """A few distinct rows, each repeated; R has low rank and many ties."""
-    length = draw(st.integers(2, 12))
-    distinct = draw(rows_of(length, draw(st.integers(1, 3))))
-    repeats = draw(st.lists(st.integers(1, 4), min_size=len(distinct), max_size=len(distinct)))
-    return SignatureSet.from_rows(
-        [row for row, times in zip(distinct, repeats) for _ in range(times)]
-    )
-
-
-@st.composite
-def underloaded_sets(draw):
-    """K < L: R is singular, so the step analysis' factor of R takes the
-    jitter path; the walks factor L*R + 2I, or the floored form, without it."""
-    length = draw(st.integers(2, 12))
-    return SignatureSet.from_rows(draw(rows_of(length, draw(st.integers(1, length - 1)))))
-
-
-def fields_of(result):
-    return tuple(getattr(result, name) for name in result.__slots__)
 
 
 def assert_first_optimum_is_exact(signature_set):
@@ -106,24 +69,24 @@ def assert_first_optimum_is_exact(signature_set):
 
 class TestSameAnswerAsScan:
     @PROPERTY_SETTINGS
-    @given(random_sets())
+    @given(random_sets(2, 14))
     def test_random_sets(self, signature_set):
         assert_first_optimum_is_exact(signature_set)
 
     @PROPERTY_SETTINGS
-    @given(repeated_row_sets())
+    @given(repeated_row_sets(2, 12))
     def test_repeated_rows(self, signature_set):
         assert_first_optimum_is_exact(signature_set)
 
     @PROPERTY_SETTINGS
-    @given(underloaded_sets())
+    @given(underloaded_sets(2, 12))
     def test_singular_r_jitter_path(self, signature_set):
         assert_first_optimum_is_exact(signature_set)
 
     @PROPERTY_SETTINGS
-    @given(st.integers(1, 14).flatmap(lambda length: rows_of(length, 1)))
-    def test_single_signature(self, rows):
-        assert_first_optimum_is_exact(SignatureSet.from_rows(rows))
+    @given(random_sets(1, 14, lambda length: 1))
+    def test_single_signature(self, signature_set):
+        assert_first_optimum_is_exact(signature_set)
 
 
 class TestCertifiedFloor:

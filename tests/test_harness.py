@@ -14,7 +14,6 @@ from sigforge import (
     CompareReport,
     ExtensionRecord,
     InternalConsistencyError,
-    SignatureSet,
     compare_methods,
     correlation_matrix,
     emit_report,
@@ -29,10 +28,7 @@ from sigforge import (
 )
 from sigforge.harness import AUDIT_AUTO_MAX_L
 from sigforge.sphere import ML_CAP
-
-
-def random_set(rng, k, length):
-    return SignatureSet.from_rows(rng.choice([-1, 1], size=(k, length)).tolist())
+from support import random_set
 
 
 class TestExtendOnce:

@@ -7,14 +7,12 @@ import copy
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
+from hypothesis import given
 
 import sigforge.linalg
 from sigforge import (
     CorrelationMatrix,
     EigenFailure,
-    Signature,
     SignatureSet,
     SingularMatrix,
     cholesky,
@@ -28,20 +26,17 @@ from sigforge import (
 from sigforge.cli import main
 from sigforge.harness import _factor_columns
 from sigforge.sphere import _positive_definite, analyse_step
-
-RECON_TOL = 1e-8
-
-PROPERTY_SETTINGS = settings(
-    max_examples=60, deadline=None, derandomize=True, database=None
+from support import (
+    PROPERTY_SETTINGS,
+    first_minimum,
+    random_matrix,
+    random_set,
+    random_sets,
+    repeated_row_sets,
+    underloaded_sets,
 )
 
-
-def random_matrix(rng, length, k_lo=None, k_hi=None):
-    k_lo = k_lo or length
-    k_hi = k_hi or 3 * length
-    k = int(rng.integers(k_lo, k_hi + 1))
-    rows = rng.choice([-1, 1], size=(k, length)).tolist()
-    return correlation_matrix(SignatureSet.from_rows(rows))
+RECON_TOL = 1e-8
 
 
 class TestCholesky:
@@ -152,15 +147,7 @@ class TestMinEigenpair:
         for _ in range(20):
             length = int(rng.integers(2, 9))
             m = random_matrix(rng, length)
-            pair = min_eigenpair(m)
-            floor = pair.value * length
-            for bits in range(1 << (length - 1)):
-                chips = tuple(
-                    1 if (bits >> (length - 1 - i)) & 1 == 0 else -1
-                    for i in range(length - 1)
-                ) + (1,)
-                metric = quadratic_metric(m, Signature(chips))
-                assert floor <= metric + 1e-6
+            assert min_eigenpair(m).value * length <= first_minimum(m)[1] + 1e-6
 
     def test_eigen_failure_carries_residual(self):
         err = EigenFailure("nope", residual=0.25)
@@ -190,38 +177,6 @@ class TestMinEigenpair:
             float_pair, int_pair = min_eigenpair(matrix), min_eigenpair(wide)
             assert float_pair.value == int_pair.value
             assert np.array_equal(float_pair.vector, int_pair.vector)
-
-
-def rows_of(length, count):
-    """``count`` rows of +-1 chips, each drawn as one integer bit mask."""
-    masks = st.lists(st.integers(0, (1 << length) - 1), min_size=count, max_size=count)
-    return masks.map(
-        lambda ms: [[1 - 2 * ((m >> i) & 1) for i in range(length)] for m in ms]
-    )
-
-
-@st.composite
-def random_sets(draw):
-    length = draw(st.integers(1, 24))
-    return SignatureSet.from_rows(draw(rows_of(length, draw(st.integers(1, 3 * length)))))
-
-
-@st.composite
-def repeated_row_sets(draw):
-    """A few distinct rows, each repeated: low rank, degenerate eigenspaces."""
-    length = draw(st.integers(1, 24))
-    distinct = draw(rows_of(length, draw(st.integers(1, 3))))
-    repeats = draw(st.lists(st.integers(1, 4), min_size=len(distinct), max_size=len(distinct)))
-    return SignatureSet.from_rows(
-        [row for row, times in zip(distinct, repeats) for _ in range(times)]
-    )
-
-
-@st.composite
-def underloaded_sets(draw):
-    """K < L: R is singular."""
-    length = draw(st.integers(2, 24))
-    return SignatureSet.from_rows(draw(rows_of(length, draw(st.integers(1, length - 1)))))
 
 
 def permuted_eigh(order):
@@ -260,24 +215,24 @@ class TestBitIdentity:
     index order, and so whatever eigenbasis, the eigensolver works in."""
 
     @PROPERTY_SETTINGS
-    @given(random_sets())
+    @given(random_sets(1, 24))
     def test_random_sets(self, signature_set):
         assert_kernel_independent(signature_set)
 
     @PROPERTY_SETTINGS
-    @given(repeated_row_sets())
+    @given(repeated_row_sets(1, 24))
     def test_repeated_rows(self, signature_set):
         assert_kernel_independent(signature_set)
 
     @PROPERTY_SETTINGS
-    @given(underloaded_sets())
+    @given(underloaded_sets(2, 24))
     def test_fewer_signatures_than_chips(self, signature_set):
         assert_kernel_independent(signature_set)
 
     @PROPERTY_SETTINGS
-    @given(st.integers(1, 24).flatmap(lambda length: rows_of(length, 1)))
-    def test_single_signature(self, rows):
-        assert_kernel_independent(SignatureSet.from_rows(rows))
+    @given(random_sets(1, 24, lambda length: 1))
+    def test_single_signature(self, signature_set):
+        assert_kernel_independent(signature_set)
 
     @pytest.mark.parametrize("step", range(16))
     def test_reference_chain_steps(self, reference_chain_sets, step):
@@ -306,8 +261,7 @@ class TestEigenFailurePaths:
     @pytest.fixture
     def l12_file(self, tmp_path):
         path = tmp_path / "l12.txt"
-        rng = np.random.default_rng(26)
-        save_set(SignatureSet.from_rows(rng.choice([-1, 1], size=(18, 12)).tolist()), path)
+        save_set(random_set(np.random.default_rng(26), 18, 12), path)
         return str(path)
 
     def test_cli_extend_exits_3(self, l12_file, monkeypatch, capsys):

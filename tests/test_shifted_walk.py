@@ -23,6 +23,7 @@ from sigforge import (
 )
 from sigforge.harness import _factor_columns
 from sigforge.sphere import analyse_step
+from support import PROPERTY_SETTINGS, rows_of
 
 # Nodes the walk without the shifted form and the nearest-plane start
 # visited on the Hadamard 16 -> 32 chain.
@@ -68,16 +69,8 @@ class TestBothBoundsNest:
         assert (floored.nodes_visited, unfloored.nodes_visited) == (47, 41)
         assert unfloored.nodes_visited <= fixed.nodes_visited
 
-    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
-    @given(
-        st.integers(6, 16).flatmap(
-            lambda length: st.lists(
-                st.lists(st.sampled_from([-1, 1]), min_size=length, max_size=length),
-                min_size=3 * length // 2,
-                max_size=3 * length // 2,
-            )
-        )
-    )
+    @settings(PROPERTY_SETTINGS, max_examples=40)
+    @given(st.integers(6, 16).flatmap(lambda length: rows_of(length, 3 * length // 2)))
     def test_overloaded_sets(self, rows):
         matrix = correlation_matrix(SignatureSet.from_rows(rows))
         floored, unfloored, fixed = walks(matrix)

@@ -7,7 +7,6 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import sigforge.sigcore
 from sigforge import (
@@ -28,6 +27,7 @@ from sigforge import (
     upscale_chain,
     welch_bound,
 )
+from support import PROPERTY_SETTINGS, random_set, random_sets, with_signature
 
 
 # Each malformed file and its exact message. Line numbers count every line
@@ -73,10 +73,6 @@ INTEGER_ARGUMENTS = {
     "hadamard_set": (4, hadamard_set),
     "upscale_chain": (6, lambda n: upscale_chain(hadamard_set(4), n).final_set),
 }
-
-
-def random_set(rng, k, length):
-    return SignatureSet.from_rows(rng.choice([-1, 1], size=(k, length)).tolist())
 
 
 class TestIntegerArguments:
@@ -247,19 +243,10 @@ class TestTsc:
     def test_returns_plain_int(self):
         assert isinstance(tsc(hadamard_set(2)), int)
 
-    @given(
-        st.integers(1, 12).flatmap(
-            lambda length: st.lists(
-                st.lists(st.sampled_from([-1, 1]), min_size=length, max_size=length),
-                min_size=1,
-                max_size=40,
-            )
-        )
-    )
-    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
-    def test_equals_frobenius_norm_of_r(self, rows):
+    @given(random_sets(1, 12, lambda length: 40))
+    @settings(PROPERTY_SETTINGS, max_examples=100)
+    def test_equals_frobenius_norm_of_r(self, s):
         # trace((S S^T)^2) == trace((S^T S)^2) == ||R||_F^2.
-        s = SignatureSet.from_rows(rows)
         entries = correlation_matrix(s).entries.tolist()
         assert tsc(s) == sum(r * r for row in entries for r in row)
 
@@ -461,26 +448,14 @@ class TestQuadraticMetric:
             sig = Signature(tuple(rng.choice([-1, 1], size=5).tolist()))
             assert quadratic_metric(m, sig) == quadratic_metric(m, -sig)
 
-    @given(
-        st.integers(1, 12).flatmap(
-            lambda length: st.tuples(
-                st.lists(
-                    st.lists(st.sampled_from([-1, 1]), min_size=length, max_size=length),
-                    min_size=1,
-                    max_size=40,
-                ),
-                st.lists(st.sampled_from([-1, 1]), min_size=length, max_size=length),
-            )
-        )
-    )
-    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(with_signature(random_sets(1, 12, lambda length: 40)))
+    @settings(PROPERTY_SETTINGS, max_examples=100)
     def test_rescoring_identity(self, case):
         # s^T R s == ||S s||^2 makes the metric the TSC increment's cross
         # term, and its sign symmetry justifies pinning s_L = +1.
-        rows, chips = case
-        m = correlation_matrix(SignatureSet.from_rows(rows))
-        sig = Signature(tuple(chips))
-        projections = np.array(rows, dtype=np.int64) @ np.array(chips, dtype=np.int64)
+        s, sig = case
+        m = correlation_matrix(s)
+        projections = s.rows @ sig.as_array()
         metric = quadratic_metric(m, sig)
         assert metric == int((projections * projections).sum())
         assert metric == quadratic_metric(m, -sig)

@@ -36,27 +36,21 @@ from sigforge import (
 )
 from sigforge.harness import _factor_columns
 from sigforge.sphere import EXACT_SCAN_LIMIT, analyse_step
-
-
-def random_correlation(rng, length, k_hi_factor=3):
-    k = int(rng.integers(length, k_hi_factor * length + 1))
-    rows = rng.choice([-1, 1], size=(k, length)).tolist()
-    return correlation_matrix(SignatureSet.from_rows(rows))
+from support import (
+    PROPERTY_SETTINGS,
+    all_half_space,
+    first_minimum,
+    random_matrix,
+    random_set,
+    random_sets,
+    repeated_row_sets,
+    underloaded_sets,
+    with_signature,
+)
 
 
 def paper_radius(matrix):
     return radius_squared(matrix, quantize_sign(min_eigenpair(matrix).vector))
-
-
-def all_half_space(length):
-    """Every signature with the last chip +1, lexicographic (+1 < -1)."""
-    out = []
-    for bits in range(1 << (length - 1)):
-        chips = tuple(
-            1 if (bits >> (length - 2 - i)) & 1 == 0 else -1 for i in range(length - 1)
-        ) + (1,)
-        out.append(Signature(chips))
-    return out
 
 
 class TestRadius:
@@ -70,10 +64,8 @@ class TestRadius:
         rng = np.random.default_rng(41)
         for _ in range(30):
             length = int(rng.integers(2, 11))
-            m = random_correlation(rng, length)
-            c = paper_radius(m)
-            best = min(quadratic_metric(m, s) for s in all_half_space(length))
-            assert c >= best
+            m = random_matrix(rng, length)
+            assert paper_radius(m) >= first_minimum(m)[1]
 
 
 class TestSphereSearch:
@@ -135,24 +127,19 @@ class TestSphereSearch:
         rng = np.random.default_rng(43)
         for _ in range(200):
             length = int(rng.integers(4, 13))
-            m = random_correlation(rng, length, k_hi_factor=2)
+            m = random_matrix(rng, length, max_factor=2)
             result = sphere_search(m, paper_radius(m))
-            brute = min(
-                (quadratic_metric(m, s), tuple(0 if c == 1 else 1 for c in s), s)
-                for s in all_half_space(length)
-            )
-            assert result.best_metric == brute[0]
-            assert result.best == brute[2]
+            assert (result.best, result.best_metric) == first_minimum(m)[:2]
 
     def test_candidate_list_is_exactly_the_ball(self):
         rng = np.random.default_rng(44)
-        matrices = [random_correlation(rng, int(rng.integers(2, 11))) for _ in range(40)]
+        matrices = [random_matrix(rng, int(rng.integers(2, 11))) for _ in range(40)]
         # K < L: R is singular.
         rng = np.random.default_rng(49)
         for _ in range(40):
             length = int(rng.integers(2, 11))
-            rows = rng.choice([-1, 1], size=(int(rng.integers(1, length)), length))
-            matrices.append(correlation_matrix(SignatureSet.from_rows(rows.tolist())))
+            k = int(rng.integers(1, length))
+            matrices.append(correlation_matrix(random_set(rng, k, length)))
         for m in matrices:
             length = m.dim
             c = paper_radius(m)
@@ -167,7 +154,7 @@ class TestSphereSearch:
         rng = np.random.default_rng(45)
         for _ in range(30):
             length = int(rng.integers(2, 11))
-            m = random_correlation(rng, length)
+            m = random_matrix(rng, length)
             quantized = quantize_sign(min_eigenpair(m).vector)
             if quantized[len(quantized) - 1] == -1:
                 quantized = -quantized
@@ -179,7 +166,7 @@ class TestSphereSearch:
         rng = np.random.default_rng(46)
         for _ in range(30):
             length = int(rng.integers(2, 11))
-            m = random_correlation(rng, length)
+            m = random_matrix(rng, length)
             result = sphere_search(m, paper_radius(m))
             assert result.nodes_visited <= 2 ** (length + 1)
             assert result.candidates_enumerated <= 2 ** (length - 1)
@@ -188,7 +175,7 @@ class TestSphereSearch:
         rng = np.random.default_rng(47)
         for _ in range(30):
             length = int(rng.integers(2, 11))
-            m = random_correlation(rng, length)
+            m = random_matrix(rng, length)
             pair = min_eigenpair(m)
             c = radius_squared(m, quantize_sign(pair.vector))
             result = sphere_search(m, c)
@@ -225,7 +212,7 @@ class TestMlExhaustive:
         rng = np.random.default_rng(50)
         for _ in range(50):
             length = int(rng.integers(2, 12))
-            m = random_correlation(rng, length)
+            m = random_matrix(rng, length)
             sd = sphere_search(m, paper_radius(m))
             ml = ml_exhaustive(m)
             assert sd.best_metric == ml.best_metric
@@ -251,7 +238,7 @@ class TestLocalDescent:
         rng = np.random.default_rng(51)
         for _ in range(40):
             length = int(rng.integers(2, 11))
-            m = random_correlation(rng, length)
+            m = random_matrix(rng, length)
             start = Signature(tuple(rng.choice([-1, 1], size=length).tolist()))
             result = local_descent_baseline(m, start)
             assert result.best_metric >= ml_exhaustive(m).best_metric
@@ -259,7 +246,7 @@ class TestLocalDescent:
 
     def test_deterministic(self):
         rng = np.random.default_rng(52)
-        m = random_correlation(rng, 9)
+        m = random_matrix(rng, 9)
         start = Signature(tuple(rng.choice([-1, 1], size=9).tolist()))
         first = local_descent_baseline(m, start)
         second = local_descent_baseline(m, start)
@@ -299,38 +286,16 @@ def per_flip_descent(matrix, start):
     return current, metric, evals, points
 
 
-def chips_of(length):
-    return st.lists(st.sampled_from([-1, 1]), min_size=length, max_size=length)
-
-
-@st.composite
-def descent_cases(draw, shape):
-    """R of a random set ("random", 1 to 3L rows), of a few repeated rows
-    ("repeated") or of K < L rows ("underloaded"), and a random start."""
-    length = draw(st.integers(2, 14))
-    if shape == "repeated":
-        distinct = draw(st.lists(chips_of(length), min_size=1, max_size=3))
-        rows = [row for row in distinct for _ in range(draw(st.integers(1, 4)))]
-    else:
-        most = 3 * length if shape == "random" else length - 1
-        rows = draw(st.lists(chips_of(length), min_size=1, max_size=most))
-    start = Signature(tuple(draw(chips_of(length))))
-    return correlation_matrix(SignatureSet.from_rows(rows)), start
-
-
 @st.composite
 def scaled_cases(draw):
     """c * S^T S for a length-4 set S, with c up to the largest value that keeps
     sum |R_ij| <= 2^62 (2^58 on Hadamard 4), and a random start."""
-    hadamard = hadamard_set(4).rows.tolist()
-    rows = draw(st.just(hadamard) | st.lists(chips_of(4), min_size=1, max_size=8))
-    base = correlation_matrix(SignatureSet.from_rows(rows)).entries
+    sets = st.just(hadamard_set(4)) | random_sets(4, 4, lambda length: 8)
+    signature_set, start = draw(with_signature(sets))
+    base = correlation_matrix(signature_set).entries
     cap = (1 << 62) // int(np.abs(base).sum())
     scale = draw(st.just(cap) | st.integers(1, cap))
-    return CorrelationMatrix(scale * base), Signature(tuple(draw(chips_of(4))))
-
-
-DESCENT_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    return CorrelationMatrix(scale * base), start
 
 
 class TestDescentMatchesPerFlipScan:
@@ -338,32 +303,31 @@ class TestDescentMatchesPerFlipScan:
     and both counts."""
 
     @staticmethod
-    def assert_matches(case):
-        matrix, start = case
+    def assert_matches(matrix, start):
         result = local_descent_baseline(matrix, start)
         got = (result.best, result.best_metric, result.nodes_visited,
                result.candidates_enumerated)
         assert got == per_flip_descent(matrix, start)
 
-    @DESCENT_SETTINGS
-    @given(descent_cases("random"))
+    @PROPERTY_SETTINGS
+    @given(with_signature(random_sets(2, 14)))
     def test_random_sets(self, case):
-        self.assert_matches(case)
+        self.assert_matches(correlation_matrix(case[0]), case[1])
 
-    @DESCENT_SETTINGS
-    @given(descent_cases("repeated"))
+    @PROPERTY_SETTINGS
+    @given(with_signature(repeated_row_sets(2, 14)))
     def test_repeated_rows(self, case):
-        self.assert_matches(case)
+        self.assert_matches(correlation_matrix(case[0]), case[1])
 
-    @DESCENT_SETTINGS
-    @given(descent_cases("underloaded"))
+    @PROPERTY_SETTINGS
+    @given(with_signature(underloaded_sets(2, 14)))
     def test_underloaded_sets(self, case):
-        self.assert_matches(case)
+        self.assert_matches(correlation_matrix(case[0]), case[1])
 
-    @DESCENT_SETTINGS
+    @PROPERTY_SETTINGS
     @given(scaled_cases())
     def test_entries_scaled_to_2_62(self, case):
-        self.assert_matches(case)
+        self.assert_matches(*case)
 
 
 class TestExtendOptimal:
@@ -381,18 +345,15 @@ class TestExtendOptimal:
         assert tsc(extend_set(hadamard_set(4), result.best)) == 112
 
     def test_random_matches_brute_force(self):
-        rng = np.random.default_rng(53)
-        rows = rng.choice([-1, 1], size=(10, 8)).tolist()
-        s = SignatureSet.from_rows(rows)
+        s = random_set(np.random.default_rng(53), 10, 8)
         result = analyse_step(s).first_optimum()
         m = correlation_matrix(s)
-        brute = min(quadratic_metric(m, sig) for sig in all_half_space(8))
+        brute = first_minimum(m)[1]
         assert result.best_metric == brute
         assert quadratic_metric(m, result.best) == brute
 
     def test_detail_fields_consistent(self):
-        rng = np.random.default_rng(54)
-        s = SignatureSet.from_rows(rng.choice([-1, 1], size=(6, 5)).tolist())
+        s = random_set(np.random.default_rng(54), 6, 5)
         step = analyse_step(s)
         result = step.first_optimum()
         record = extend_once(s, "sd")[1]
@@ -417,29 +378,6 @@ class TestExtendOptimal:
         assert step.first_optimum().best_metric == 0
 
 
-def brute_force_scan(matrix, length):
-    """Plain-loop oracle: first lexicographic minimum and its tie count."""
-    scored = [(quadratic_metric(matrix, s), s) for s in all_half_space(length)]
-    best_metric = min(metric for metric, _ in scored)
-    best = next(s for metric, s in scored if metric == best_metric)
-    ties = sum(1 for metric, _ in scored if metric == best_metric)
-    return best, best_metric, ties
-
-
-@st.composite
-def scan_sets(draw):
-    length = draw(st.integers(1, 12))
-    k = draw(st.integers(1, 3 * length))
-    rows = draw(
-        st.lists(
-            st.lists(st.sampled_from([-1, 1]), min_size=length, max_size=length),
-            min_size=k,
-            max_size=k,
-        )
-    )
-    return SignatureSet.from_rows(rows)
-
-
 def test_step_analysis_holds_only_the_search_inputs():
     # The search layer reads R, its eigenpair, the quantized point and its
     # metric, and the rows after an orthogonal first block; the record's
@@ -455,14 +393,12 @@ def test_step_analysis_holds_only_the_search_inputs():
 class TestMeetInTheMiddleScan:
     """The split scan against the plain loop over the half-cube."""
 
-    @given(scan_sets())
-    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(random_sets(1, 12))
+    @settings(PROPERTY_SETTINGS, max_examples=80)
     def test_matches_plain_loop(self, signature_set):
         m = correlation_matrix(signature_set)
         result = ml_exhaustive(m)
-        assert (result.best, result.best_metric, result.ties) == brute_force_scan(
-            m, signature_set.length
-        )
+        assert (result.best, result.best_metric, result.ties) == first_minimum(m)
         assert result.candidates_enumerated == 1 << (signature_set.length - 1)
 
     @pytest.mark.parametrize("length", range(1, 13))
@@ -471,11 +407,9 @@ class TestMeetInTheMiddleScan:
         # L = 1 and 2 is the pinned bit alone; odd L splits unevenly.
         rng = np.random.default_rng(100 + length)
         for _ in range(4):
-            m = random_correlation(rng, length)
+            m = random_matrix(rng, length)
             result = ml_exhaustive(m)
-            assert (result.best, result.best_metric, result.ties) == brute_force_scan(
-                m, length
-            )
+            assert (result.best, result.best_metric, result.ties) == first_minimum(m)
 
     @pytest.mark.parametrize("length", [1, 2, 4, 8])
     def test_hadamard_every_point_ties(self, length):
@@ -490,7 +424,7 @@ class TestMeetInTheMiddleScan:
         for _ in range(4):
             m = correlation_matrix(current)
             result = ml_exhaustive(m)
-            expected = brute_force_scan(m, 8)
+            expected = first_minimum(m)
             assert (result.best, result.best_metric, result.ties) == expected
             assert result.ties > 1
             current = extend_set(current, result.best)
@@ -500,14 +434,12 @@ class TestMeetInTheMiddleScan:
         # Ties and minima then fall in different blocks; the first still wins.
         monkeypatch.setattr(sigforge.sphere, "_BLOCK", 1)
         rng = np.random.default_rng(200 + length)
-        matrices = [random_correlation(rng, length) for _ in range(3)]
+        matrices = [random_matrix(rng, length) for _ in range(3)]
         if length == 8:
             matrices.append(correlation_matrix(hadamard_set(8)))
         for m in matrices:
             result = ml_exhaustive(m)
-            assert (result.best, result.best_metric, result.ties) == brute_force_scan(
-                m, length
-            )
+            assert (result.best, result.best_metric, result.ties) == first_minimum(m)
 
     @pytest.mark.parametrize("length, limit_mb", [(21, 1.5), (24, 2.5)])
     def test_peak_memory_bounded(self, length, limit_mb):
@@ -515,8 +447,7 @@ class TestMeetInTheMiddleScan:
         # L = 21 and 1.96 MB at L = 24, most of it the head and tail tables;
         # blocks of 2^18 entries peaked at 4.45 MB and 5.45 MB.
         rng = np.random.default_rng(400 + length)
-        rows = rng.choice([-1, 1], size=(3 * length // 2, length)).tolist()
-        m = correlation_matrix(SignatureSet.from_rows(rows))
+        m = correlation_matrix(random_set(rng, 3 * length // 2, length))
         tracemalloc.start()
         try:
             result = ml_exhaustive(m)
@@ -529,8 +460,7 @@ class TestMeetInTheMiddleScan:
 
     def test_cap_size_scan_matches_first_optimum(self):
         # One scan at the L = 24 cap: 2^23 points.
-        rng = np.random.default_rng(24)
-        step = analyse_step(SignatureSet.from_rows(rng.choice([-1, 1], size=(36, 24)).tolist()))
+        step = analyse_step(random_set(np.random.default_rng(24), 36, 24))
         scan = ml_exhaustive(step.matrix)
         walk = step.first_optimum()
         assert scan.candidates_enumerated == scan.nodes_visited == 1 << 23
@@ -546,14 +476,12 @@ class TestMeetInTheMiddleScan:
     def test_exact_just_below_float_limit_with_cross_terms(self, length):
         # R = c * S^T S with sum |R_ij| just below 2^53: the cross products
         # and both forms are large, so an inexact partial sum would show.
-        m = random_correlation(np.random.default_rng(300 + length), length)
+        m = random_matrix(np.random.default_rng(300 + length), length)
         scale = (EXACT_SCAN_LIMIT - 1) // m.abs_sum
         scaled = CorrelationMatrix(m.entries * scale)
         assert EXACT_SCAN_LIMIT - m.abs_sum <= scaled.abs_sum < EXACT_SCAN_LIMIT
         result = ml_exhaustive(scaled)
-        assert (result.best, result.best_metric, result.ties) == brute_force_scan(
-            scaled, length
-        )
+        assert (result.best, result.best_metric, result.ties) == first_minimum(scaled)
 
     def test_refuses_beyond_float_limit(self):
         m = CorrelationMatrix(np.eye(16, dtype=np.int64) * (1 << 49))
@@ -579,9 +507,7 @@ BIG_IDENTITY_K = 797_094_230_289_444_740
 def sets_scaled_past_2_53(draw):
     """c * S^T S for a set of L = 2 to 8 and K = 1 to 3L rows (K < L
     included), with c chosen so that sum |R_ij| lies in [2^60, 2^62)."""
-    length = draw(st.integers(2, 8))
-    rows = draw(st.lists(chips_of(length), min_size=1, max_size=3 * length))
-    base = correlation_matrix(SignatureSet.from_rows(rows)).entries
+    base = correlation_matrix(draw(random_sets(2, 8))).entries
     total = int(np.abs(base).sum())
     scale = draw(st.integers(-(-(1 << 60) // total), ((1 << 62) - 1) // total))
     return CorrelationMatrix(scale * base)
@@ -606,12 +532,12 @@ class TestRadiusAbove2To53:
         result = step.first_optimum()
         assert (result.best, result.best_metric) == expected
 
-    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @settings(PROPERTY_SETTINGS, max_examples=100)
     @given(sets_scaled_past_2_53())
     def test_every_walk_matches_brute_force(self, matrix):
         pair = min_eigenpair(matrix)
         radius = radius_squared(matrix, quantize_sign(pair.vector))
-        best, best_metric, _ = brute_force_scan(matrix, matrix.dim)
+        best, best_metric, _ = first_minimum(matrix)
         for lambda_min in (pair.value, 0.0, None):
             result = sphere_search(matrix, radius, lambda_min=lambda_min)
             assert (result.best, result.best_metric) == (best, best_metric)
